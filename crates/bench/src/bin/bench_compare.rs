@@ -17,9 +17,8 @@
 //! serve`), the inference-engine gates also run: hot-set cache hit rate
 //! ≥ 90%, batched speedup over the naive per-query circuit path ≥ 10×,
 //! zero classification divergences, and the hot-set p99 latency within
-//! 2× of the baseline. Records without a serve section (plain `repro
-//! bench` output) skip these with an info line, so the bench-smoke job
-//! stays green.
+//! 2× of the baseline. When either record lacks the section, these
+//! skip with an info line.
 //!
 //! When the **new** record carries a `chaos` section (written by `repro
 //! chaos`), the resilience gates run on each stream: availability (single
@@ -29,11 +28,15 @@
 //! is not consulted — and are skipped with an info line when the section
 //! is absent.
 //!
-//! The parser is a deliberate hand-rolled scan over the fixed
-//! `mssim-bench-v1` schema (the workspace has no JSON dependency and the
-//! writer in `bench::hotpath` is equally hand-rolled).
+//! Records are read with `mssim::json`, so the gate does not depend on
+//! the layout of the file. A record that does not parse, whose `schema`
+//! member is not `mssim-bench-v1`, or whose `serve`/`chaos` section is
+//! present but lacks a gated field, exits 2.
 
 use std::process::ExitCode;
+
+use bench::hotpath::BENCH_SCHEMA;
+use mssim::json::{self, Value};
 
 /// Max tolerated fractional drop of a gated fixture's speedup.
 const TOLERANCE: f64 = 0.25;
@@ -57,230 +60,186 @@ const SERVE_P99_GROWTH: f64 = 2.0;
 /// Minimum availability of every chaos stream (single and batched pass).
 const CHAOS_AVAILABILITY_FLOOR: f64 = 0.999;
 
-/// One `(name, speedup)` pair scanned out of a bench record.
-#[derive(Debug)]
-struct Entry {
-    name: String,
-    speedup: f64,
+/// One gate's outcome: `(label, measured value, bound, passed)`.
+type Check = (String, f64, f64, bool);
+
+/// Passes when `value >= bound`.
+fn floor(label: String, value: f64, bound: f64) -> Check {
+    (label, value, bound, value >= bound)
 }
 
-/// Extracts the string value following `"key": "` starting at `from`.
-fn scan_string(text: &str, key: &str, from: usize) -> Option<(String, usize)> {
-    let pat = format!("\"{key}\": \"");
-    let start = text[from..].find(&pat)? + from + pat.len();
-    let end = text[start..].find('"')? + start;
-    Some((text[start..end].to_string(), end))
+/// Passes when `value <= bound`.
+fn ceiling(label: String, value: f64, bound: f64) -> Check {
+    (label, value, bound, value <= bound)
 }
 
-/// Extracts the numeric value following `"key": ` starting at `from`.
-fn scan_number(text: &str, key: &str, from: usize) -> Option<(f64, usize)> {
-    let pat = format!("\"{key}\": ");
-    let start = text[from..].find(&pat)? + from + pat.len();
-    let end = text[start..].find([',', '\n', '}']).map(|e| e + start)?;
-    text[start..end].trim().parse().ok().map(|v| (v, end))
+/// Passes when the count `value` is exactly zero.
+fn zero(label: String, value: f64) -> Check {
+    (label, value, 0.0, value == 0.0)
 }
 
-/// Scans every entry's name and speedup out of a `mssim-bench-v1` record.
-fn scan_entries(text: &str) -> Vec<Entry> {
-    let mut entries = Vec::new();
-    let Some(mut pos) = text.find("\"entries\"") else {
-        return entries;
-    };
-    while let Some((name, after_name)) = scan_string(text, "name", pos) {
-        let Some((speedup, after)) = scan_number(text, "speedup", after_name) else {
-            break;
-        };
-        entries.push(Entry { name, speedup });
-        pos = after;
+/// Member `key` of `value` as a number.
+fn num(value: &Value, key: &str) -> Result<f64, String> {
+    let found = value.get(key).and_then(Value::as_f64);
+    found.ok_or_else(|| format!("lacks a numeric `{key}`"))
+}
+
+/// The members of a named `streams` array.
+fn streams(section: &Value) -> &[Value] {
+    section
+        .get("streams")
+        .and_then(Value::as_array)
+        .unwrap_or_default()
+}
+
+/// `(name, speedup)` of every entry; no entries is an error.
+fn entries<'a>(doc: &'a Value) -> Result<Vec<(&'a str, f64)>, String> {
+    let rows = doc
+        .get("entries")
+        .and_then(Value::as_array)
+        .unwrap_or_default();
+    if rows.is_empty() {
+        return Err("record has no entries".into());
     }
-    entries
-}
-
-/// The serve-section metrics the gate cares about.
-#[derive(Debug)]
-struct Serve {
-    speedup_vs_naive: f64,
-    divergences: f64,
-    hotset_p99_ns: f64,
-    hotset_hit_rate: f64,
-}
-
-/// Scans the `serve` section out of a record, if present. The section
-/// sits before `"entries"` and never contains bare `"name"`/`"speedup"`
-/// keys, so the entry scanner is unaffected by it.
-fn scan_serve(text: &str) -> Option<Serve> {
-    let start = text.find("\"serve\"")?;
-    let end = text.find("\"entries\"").unwrap_or(text.len());
-    let region = &text[start..end];
-    let (speedup_vs_naive, _) = scan_number(region, "speedup_vs_naive", 0)?;
-    let (divergences, _) = scan_number(region, "divergences", 0)?;
-    let hot = region.find("\"stream\": \"hotset\"")?;
-    let (hotset_p99_ns, after) = scan_number(region, "p99_ns", hot)?;
-    let (hotset_hit_rate, _) = scan_number(region, "hit_rate", after)?;
-    Some(Serve {
-        speedup_vs_naive,
-        divergences,
-        hotset_p99_ns,
-        hotset_hit_rate,
-    })
-}
-
-/// Runs the serve gates when both records carry a serve section; returns
-/// the number of failed gates.
-fn compare_serve(baseline: Option<Serve>, fresh: Option<Serve>) -> usize {
-    let (base, new) = match (baseline, fresh) {
-        (Some(b), Some(n)) => (b, n),
-        (b, n) => {
-            println!(
-                "bench_compare: serve gates skipped (baseline {}, new {})",
-                if b.is_some() { "present" } else { "absent" },
-                if n.is_some() { "present" } else { "absent" },
-            );
-            return 0;
-        }
+    let entry = |row: &'a Value| {
+        let name = row.get("name").and_then(Value::as_str);
+        let name = name.ok_or_else(|| "entry lacks a `name`".to_string())?;
+        let speedup = num(row, "speedup").map_err(|e| format!("entry `{name}` {e}"))?;
+        Ok((name, speedup))
     };
-    let mut failures = 0usize;
-    println!("bench_compare: inference-engine serve gates");
-    let p99_ceiling = base.hotset_p99_ns * SERVE_P99_GROWTH;
-    let checks: [(&str, f64, f64, bool); 4] = [
-        (
-            "hotset hit_rate",
-            new.hotset_hit_rate,
-            SERVE_HIT_RATE_FLOOR,
-            new.hotset_hit_rate >= SERVE_HIT_RATE_FLOOR,
-        ),
-        (
-            "speedup_vs_naive",
-            new.speedup_vs_naive,
-            SERVE_SPEEDUP_FLOOR,
-            new.speedup_vs_naive >= SERVE_SPEEDUP_FLOOR,
-        ),
-        ("divergences", new.divergences, 0.0, new.divergences == 0.0),
-        (
-            "hotset p99_ns",
-            new.hotset_p99_ns,
-            p99_ceiling,
-            new.hotset_p99_ns <= p99_ceiling,
-        ),
+    rows.iter().map(entry).collect()
+}
+
+/// The serve gates' inputs `[speedup_vs_naive, divergences, hotset
+/// p99_ns, hotset hit_rate]`; `None` when the section is absent.
+fn serve(doc: &Value) -> Result<Option<[f64; 4]>, String> {
+    let Some(section) = doc.get("serve") else {
+        return Ok(None);
+    };
+    let is_hot = |s: &&Value| s.get("stream").and_then(Value::as_str) == Some("hotset");
+    let hot = streams(section)
+        .iter()
+        .find(is_hot)
+        .ok_or("serve section lacks a `hotset` stream")?;
+    let read = |v, key| num(v, key).map_err(|e| format!("serve section {e}"));
+    let gated = [
+        read(section, "speedup_vs_naive")?,
+        read(section, "divergences")?,
+        read(hot, "p99_ns")?,
+        read(hot, "hit_rate")?,
     ];
-    for (name, value, bound, ok) in checks {
-        if !ok {
-            failures += 1;
-        }
-        println!(
-            "  {} {:<18} {value:.4} (bound {bound:.4})",
-            if ok { "ok  " } else { "FAIL" },
-            name
-        );
+    Ok(Some(gated))
+}
+
+/// The serve gates, when both records carry a serve section.
+fn serve_checks(baseline: &Value, fresh: &Value) -> Result<Option<Vec<Check>>, String> {
+    let (Some([_, _, base_p99, _]), Some([speedup, divergences, p99, hit_rate])) =
+        (serve(baseline)?, serve(fresh)?)
+    else {
+        return Ok(None);
+    };
+    Ok(Some(vec![
+        floor("hotset hit_rate".into(), hit_rate, SERVE_HIT_RATE_FLOOR),
+        floor("speedup_vs_naive".into(), speedup, SERVE_SPEEDUP_FLOOR),
+        zero("divergences".into(), divergences),
+        ceiling("hotset p99_ns".into(), p99, base_p99 * SERVE_P99_GROWTH),
+    ]))
+}
+
+/// The chaos gates on every stream of the new record; `None` when it has
+/// no chaos section. Absolute floors only: the baseline is not consulted.
+fn chaos_checks(doc: &Value) -> Result<Option<Vec<Check>>, String> {
+    let Some(section) = doc.get("chaos") else {
+        return Ok(None);
+    };
+    if streams(section).is_empty() {
+        return Err("chaos section has no streams".into());
     }
-    failures
-}
-
-/// The chaos-stream metrics the gate cares about.
-#[derive(Debug)]
-struct ChaosStream {
-    stream: String,
-    availability: f64,
-    batch_availability: f64,
-    panics: f64,
-    bound_violations: f64,
-    divergences: f64,
-}
-
-/// Scans the `chaos` section's streams out of a record, if present. The
-/// section sits before `"entries"` and never contains bare
-/// `"name"`/`"speedup"` keys, so the entry scanner is unaffected by it.
-fn scan_chaos(text: &str) -> Option<Vec<ChaosStream>> {
-    let start = text.find("  \"chaos\": {")?;
-    // Brace-match to the end of the chaos object so sibling sections
-    // (serve, entries) never leak into the stream scan.
-    let bytes = text.as_bytes();
-    let mut depth = 0usize;
-    let mut end = text.len();
-    for (i, &b) in bytes.iter().enumerate().skip(start) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = i + 1;
-                    break;
-                }
-            }
-            _ => {}
+    let mut checks = Vec::new();
+    for s in streams(section) {
+        let name = s
+            .get("stream")
+            .and_then(Value::as_str)
+            .ok_or("chaos stream lacks a `stream` name")?;
+        let read = |key| num(s, key).map_err(|e| format!("chaos stream `{name}` {e}"));
+        for key in ["availability", "batch_availability"] {
+            checks.push(floor(
+                format!("{name} {key}"),
+                read(key)?,
+                CHAOS_AVAILABILITY_FLOOR,
+            ));
+        }
+        for key in ["panics", "bound_violations", "divergences"] {
+            checks.push(zero(format!("{name} {key}"), read(key)?));
         }
     }
-    let region = &text[start..end];
-    let mut streams = Vec::new();
-    let mut pos = 0usize;
-    while let Some((stream, after)) = scan_string(region, "stream", pos) {
-        let (availability, p) = scan_number(region, "availability", after)?;
-        let (bound_violations, p) = scan_number(region, "bound_violations", p)?;
-        let (divergences, p) = scan_number(region, "divergences", p)?;
-        let (panics, p) = scan_number(region, "panics", p)?;
-        let (batch_availability, p) = scan_number(region, "batch_availability", p)?;
-        streams.push(ChaosStream {
-            stream,
-            availability,
-            batch_availability,
-            panics,
-            bound_violations,
-            divergences,
-        });
-        pos = p;
-    }
-    if streams.is_empty() {
-        return None;
-    }
-    Some(streams)
+    Ok(Some(checks))
 }
 
-/// Runs the chaos resilience gates on the new record's streams; returns
-/// the number of failed gates. Absolute floors only — no baseline
-/// comparison.
-fn compare_chaos(fresh: Option<Vec<ChaosStream>>) -> usize {
-    let Some(streams) = fresh else {
-        println!("bench_compare: chaos gates skipped (no chaos section in new record)");
+/// Prints `checks` under `title` and returns how many failed; `None`
+/// prints the skip line instead.
+fn report(title: &str, checks: Option<Vec<Check>>) -> usize {
+    let Some(checks) = checks else {
+        println!("bench_compare: {title} skipped (section absent)");
         return 0;
     };
-    let mut failures = 0usize;
-    println!("bench_compare: resilience chaos gates");
-    for s in &streams {
-        let checks: [(&str, f64, f64, bool); 5] = [
-            (
-                "availability",
-                s.availability,
-                CHAOS_AVAILABILITY_FLOOR,
-                s.availability >= CHAOS_AVAILABILITY_FLOOR,
-            ),
-            (
-                "batch_availability",
-                s.batch_availability,
-                CHAOS_AVAILABILITY_FLOOR,
-                s.batch_availability >= CHAOS_AVAILABILITY_FLOOR,
-            ),
-            ("panics", s.panics, 0.0, s.panics == 0.0),
-            (
-                "bound_violations",
-                s.bound_violations,
-                0.0,
-                s.bound_violations == 0.0,
-            ),
-            ("divergences", s.divergences, 0.0, s.divergences == 0.0),
-        ];
-        for (name, value, bound, ok) in checks {
-            if !ok {
-                failures += 1;
-            }
-            println!(
-                "  {} {:<10} {:<18} {value:.4} (bound {bound:.4})",
-                if ok { "ok  " } else { "FAIL" },
-                s.stream,
-                name
-            );
-        }
+    println!("bench_compare: {title}");
+    let failed = |(label, value, bound, ok): &Check| {
+        let verdict = if *ok { "ok  " } else { "FAIL" };
+        println!("  {verdict} {label:<28} {value:.4} (bound {bound:.4})");
+        !ok
+    };
+    checks.iter().filter(|c| failed(c)).count()
+}
+
+/// Reads and validates one record.
+fn parse_record(text: &str, path: &str) -> Result<Value, String> {
+    let doc = json::parse(text).map_err(|e| format!("{path}: {e}"))?;
+    if doc.get("schema").and_then(Value::as_str) != Some(BENCH_SCHEMA) {
+        return Err(format!("{path} is not an {BENCH_SCHEMA} record"));
     }
-    failures
+    Ok(doc)
+}
+
+/// Runs every gate and returns the number that failed, or an error for a
+/// malformed record.
+fn compare(baseline: &Value, fresh: &Value) -> Result<usize, String> {
+    let (base_entries, new_entries) = (entries(baseline)?, entries(fresh)?);
+    let (serve, chaos) = (serve_checks(baseline, fresh)?, chaos_checks(fresh)?);
+    let mut failures = 0usize;
+    println!(
+        "bench_compare: plan-cache speedup gate (tolerance -{:.0}%)",
+        TOLERANCE * 100.0
+    );
+    for &(name, base) in &base_entries {
+        let Some(&(_, new)) = new_entries.iter().find(|(n, _)| *n == name) else {
+            eprintln!("  FAIL {name}: fixture missing from new record");
+            failures += 1;
+            continue;
+        };
+        let min = base * (1.0 - TOLERANCE);
+        let (verdict, note) = match (base > 1.0, new < min) {
+            (true, true) => ("FAIL", format!(" (floor {min:.3}x)")),
+            (true, false) => ("ok  ", format!(" (floor {min:.3}x)")),
+            (false, _) => ("info", " (not gated: baseline at/below parity)".into()),
+        };
+        failures += usize::from(verdict == "FAIL");
+        println!("  {verdict} {name:<20} baseline {base:.3}x -> new {new:.3}x{note}");
+    }
+    let floors = new_entries.iter().map(|&(name, speedup)| {
+        let bound = ENTRY_FLOORS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(GLOBAL_FLOOR, |&(_, f)| f);
+        floor(format!("{name} speedup"), speedup, bound)
+    });
+    failures += report(
+        "absolute speedup floors on the new record",
+        Some(floors.collect()),
+    );
+    failures += report("inference-engine serve gates", serve);
+    failures += report("resilience chaos gates", chaos);
+    Ok(failures)
 }
 
 fn main() -> ExitCode {
@@ -289,96 +248,83 @@ fn main() -> ExitCode {
         eprintln!("usage: bench_compare <baseline.json> <new.json>");
         return ExitCode::from(2);
     };
-    let read = |path: &str| -> String {
-        match std::fs::read_to_string(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_compare: cannot read {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+    let load = |path: &str| {
+        std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| parse_record(&text, path))
     };
-    let baseline_text = read(baseline_path);
-    let new_text = read(new_path);
-    for (path, text) in [(baseline_path, &baseline_text), (new_path, &new_text)] {
-        if !text.contains("\"schema\": \"mssim-bench-v1\"") {
-            eprintln!("bench_compare: {path} is not an mssim-bench-v1 record");
-            return ExitCode::from(2);
+    let verdict = load(baseline_path).and_then(|baseline| compare(&baseline, &load(new_path)?));
+    match verdict {
+        Err(e) => {
+            eprintln!("bench_compare: {e}");
+            ExitCode::from(2)
+        }
+        Ok(0) => {
+            println!("bench_compare: all gated fixtures within tolerance and above floors");
+            ExitCode::SUCCESS
+        }
+        Ok(failures) => {
+            eprintln!("bench_compare: {failures} fixture(s) regressed or fell below a floor");
+            ExitCode::FAILURE
         }
     }
+}
 
-    let baseline = scan_entries(&baseline_text);
-    let fresh = scan_entries(&new_text);
-    if baseline.is_empty() || fresh.is_empty() {
-        eprintln!(
-            "bench_compare: no entries scanned (baseline {}, new {})",
-            baseline.len(),
-            fresh.len()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> String {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_mssim.json"
         );
-        return ExitCode::from(2);
+        std::fs::read_to_string(path).unwrap()
     }
 
-    let mut failures = 0usize;
-    println!(
-        "bench_compare: plan-cache speedup gate (tolerance -{:.0}%)",
-        TOLERANCE * 100.0
-    );
-    for base in &baseline {
-        let Some(new) = fresh.iter().find(|e| e.name == base.name) else {
-            eprintln!("  FAIL {}: fixture missing from new record", base.name);
-            failures += 1;
-            continue;
+    #[test]
+    fn verdicts_do_not_depend_on_layout() {
+        let text = committed();
+        let pretty = parse_record(&text, "pretty").unwrap();
+        let minified = parse_record(&pretty.to_compact(), "minified").unwrap();
+        assert_eq!(compare(&pretty, &pretty), Ok(0));
+        assert_eq!(compare(&minified, &minified), Ok(0));
+        assert_eq!(compare(&pretty, &minified), Ok(0));
+    }
+
+    #[test]
+    fn regressions_fail_and_absent_sections_skip() {
+        let base = parse_record(&committed(), "base").unwrap();
+        let mut fresh = base.clone();
+        let Value::Object(members) = &mut fresh else {
+            unreachable!()
         };
-        let gated = base.speedup > 1.0;
-        let floor = base.speedup * (1.0 - TOLERANCE);
-        let regressed = new.speedup < floor;
-        let verdict = match (gated, regressed) {
-            (true, true) => {
-                failures += 1;
-                "FAIL"
-            }
-            (true, false) => "ok  ",
-            (false, _) => "info",
-        };
-        println!(
-            "  {verdict} {:<20} baseline {:.3}x -> new {:.3}x{}",
-            base.name,
-            base.speedup,
-            new.speedup,
-            if gated {
-                format!(" (floor {floor:.3}x)")
-            } else {
-                String::from(" (not gated: baseline at/below parity)")
-            }
+        members.retain(|(key, _)| key != "serve" && key != "chaos");
+        assert_eq!(compare(&base, &fresh), Ok(0), "absent sections skip");
+        let slow = Value::object()
+            .with("name", "tran_adder3x3_mos")
+            .with("speedup", 1u32);
+        fresh.set("entries", vec![slow]);
+        assert!(
+            compare(&base, &fresh).unwrap() > 0,
+            "a slowed fixture fails"
         );
     }
 
-    println!("bench_compare: absolute speedup floors on the new record");
-    for new in &fresh {
-        let floor = ENTRY_FLOORS
-            .iter()
-            .find(|(name, _)| *name == new.name)
-            .map_or(GLOBAL_FLOOR, |&(_, f)| f);
-        let ok = new.speedup >= floor;
-        if !ok {
-            failures += 1;
+    #[test]
+    fn malformed_records_are_errors() {
+        let base = parse_record(&committed(), "base").unwrap();
+        assert!(parse_record("{\"note\": \"mssim-bench-v1\"}", "t").is_err());
+        assert!(parse_record("{\"schema\": \"mssim-bench-v1\",}", "t").is_err());
+        for (section, field) in [("serve", "speedup_vs_naive"), ("chaos", "streams")] {
+            let mut broken = base.clone();
+            let Some(Value::Object(members)) = broken.get(section).cloned() else {
+                unreachable!()
+            };
+            let kept: Vec<_> = members.into_iter().filter(|(k, _)| k != field).collect();
+            broken.set(section, Value::Object(kept));
+            let err = compare(&base, &broken).unwrap_err();
+            assert!(err.contains(section), "{err}");
         }
-        println!(
-            "  {} {:<20} {:.3}x (floor {:.1}x)",
-            if ok { "ok  " } else { "FAIL" },
-            new.name,
-            new.speedup,
-            floor
-        );
     }
-
-    failures += compare_serve(scan_serve(&baseline_text), scan_serve(&new_text));
-    failures += compare_chaos(scan_chaos(&new_text));
-
-    if failures > 0 {
-        eprintln!("bench_compare: {failures} fixture(s) regressed or fell below a floor");
-        return ExitCode::FAILURE;
-    }
-    println!("bench_compare: all gated fixtures within tolerance and above floors");
-    ExitCode::SUCCESS
 }

@@ -10,12 +10,14 @@
 //! *guaranteed*, so CI holds it to exactly that standard: every fault
 //! label must land in the same outcome class in both records, and any
 //! divergence on a `guaranteed_*` row is a soundness contradiction that
-//! fails the build. The parser is deliberately line-based — the exporter
-//! writes one `"key": value` pair per line — so the gate needs no JSON
-//! dependency.
+//! fails the build. Records are read with `mssim::json`, so the gate
+//! does not depend on the layout of the file.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+
+use bench::campaign::FAULTS_SCHEMA;
+use mssim::json::{self, Value};
 
 /// One outcome row: the class it landed in and its static verdict tag
 /// (`None` when the row was simulated).
@@ -25,61 +27,41 @@ struct Row {
     static_verdict: Option<String>,
 }
 
-/// Extracts the string value from a `  "key": "value",` line.
-fn quoted_value(line: &str) -> Option<&str> {
-    let (_, rest) = line.split_once(':')?;
-    let rest = rest.trim().trim_end_matches(',');
-    rest.strip_prefix('"')?.strip_suffix('"')
-}
-
-/// Parses the exporter's per-outcome `label`/`class`/`static_verdict`
-/// lines into a label-keyed map. Returns an error line description when
-/// the record misses a field or repeats a label.
+/// Reads a record's outcome rows into a label-keyed map. Returns an
+/// error description when the record does not parse, has another schema,
+/// misses a field or repeats a label.
 fn parse_outcomes(text: &str, path: &str) -> Result<BTreeMap<String, Row>, String> {
-    if !text.contains("\"schema\": \"mssim-faults-v2\"") {
-        return Err(format!("{path}: not an mssim-faults-v2 record"));
+    let doc = json::parse(text).map_err(|e| format!("{path}: {e}"))?;
+    if doc.get("schema").and_then(Value::as_str) != Some(FAULTS_SCHEMA) {
+        return Err(format!("{path}: not an {FAULTS_SCHEMA} record"));
+    }
+    let outcomes = doc
+        .get("outcomes")
+        .and_then(Value::as_array)
+        .unwrap_or_default();
+    if outcomes.is_empty() {
+        return Err(format!("{path}: no outcome rows found"));
     }
     let mut rows = BTreeMap::new();
-    let mut label: Option<String> = None;
-    let mut class: Option<String> = None;
-    for line in text.lines() {
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("\"label\":") {
-            label = Some(
-                quoted_value(trimmed)
-                    .ok_or_else(|| format!("{path}: malformed label line: {trimmed}"))?
-                    .to_string(),
-            );
-        } else if trimmed.starts_with("\"class\":") {
-            class = Some(
-                quoted_value(trimmed)
-                    .ok_or_else(|| format!("{path}: malformed class line: {trimmed}"))?
-                    .to_string(),
-            );
-        } else if trimmed.starts_with("\"static_verdict\":") {
-            let l = label
-                .take()
-                .ok_or_else(|| format!("{path}: static_verdict before any label"))?;
-            let c = class
-                .take()
-                .ok_or_else(|| format!("{path}: outcome '{l}' has no class"))?;
-            let verdict = quoted_value(trimmed).map(str::to_string);
-            if rows
-                .insert(
-                    l.clone(),
-                    Row {
-                        class: c,
-                        static_verdict: verdict,
-                    },
-                )
-                .is_some()
-            {
-                return Err(format!("{path}: duplicate fault label '{l}'"));
-            }
+    for outcome in outcomes {
+        let field = |key: &str| {
+            outcome
+                .get(key)
+                .ok_or_else(|| format!("{path}: outcome lacks `{key}`"))
+        };
+        let label = field("label")?
+            .as_str()
+            .ok_or_else(|| format!("{path}: non-string label"))?;
+        let class = field("class")?
+            .as_str()
+            .ok_or_else(|| format!("{path}: '{label}' has a non-string class"))?;
+        let row = Row {
+            class: class.to_string(),
+            static_verdict: field("static_verdict")?.as_str().map(str::to_string),
+        };
+        if rows.insert(label.to_string(), row).is_some() {
+            return Err(format!("{path}: duplicate fault label '{label}'"));
         }
-    }
-    if rows.is_empty() {
-        return Err(format!("{path}: no outcome rows found"));
     }
     Ok(rows)
 }
@@ -145,38 +127,63 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    const RECORD: &str = r#"{
-  "schema": "mssim-faults-v2",
-  "outcomes": [
-    {
-      "label": "a",
-      "class": "masked",
-      "static_verdict": null,
-      "vout": 0.1
-    },
-    {
-      "label": "b",
-      "class": "functional_fail",
-      "static_verdict": "guaranteed_fail",
-      "vout": null
-    }
-  ]
-}
-"#;
-
     #[test]
-    fn parses_labels_classes_and_verdicts() {
-        let rows = parse_outcomes(RECORD, "test").unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows["a"].class, "masked");
-        assert_eq!(rows["a"].static_verdict, None);
-        assert_eq!(rows["b"].class, "functional_fail");
-        assert_eq!(rows["b"].static_verdict.as_deref(), Some("guaranteed_fail"));
+    fn rejects_other_schemas_and_malformed_rows() {
+        let record =
+            |rows: &str| format!(r#"{{"schema": "{FAULTS_SCHEMA}", "outcomes": [{rows}]}}"#);
+        let row = r#"{"label": "a", "class": "masked", "static_verdict": null}"#;
+        assert_eq!(
+            parse_outcomes(&record(row), "t").unwrap()["a"].class,
+            "masked"
+        );
+        let errors = [
+            (
+                "{\"schema\": \"mssim-faults-v1\"}".to_string(),
+                "not an mssim-faults-v2",
+            ),
+            (record(""), "no outcome rows"),
+            (
+                record(r#"{"label": "a", "static_verdict": null}"#),
+                "lacks `class`",
+            ),
+            (
+                record(&format!("{row}, {row}")),
+                "duplicate fault label 'a'",
+            ),
+            (record(row).replace('}', ""), "invalid JSON"),
+        ];
+        for (text, message) in errors {
+            let err = parse_outcomes(&text, "t").unwrap_err();
+            assert!(err.contains(message), "{err}");
+        }
     }
 
+    /// The committed records give the same rows, and no contradictions
+    /// against themselves, whether pretty-printed or minified; every
+    /// statically certified row carries its verdict tag.
     #[test]
-    fn rejects_v1_records_and_empty_input() {
-        assert!(parse_outcomes("{\"schema\": \"mssim-faults-v1\"}", "t").is_err());
-        assert!(parse_outcomes("{\"schema\": \"mssim-faults-v2\"}", "t").is_err());
+    fn verdicts_do_not_depend_on_layout() {
+        let dir = std::env::temp_dir().join(format!("faults_compare_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for name in ["FAULTS_mssim.json", "FAULTS_mos_mssim.json"] {
+            let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = json::parse(&text).unwrap();
+            let rows = parse_outcomes(&text, &path).unwrap();
+            let certified = ["masked", "failed"].map(|k| doc.get("triage").and_then(|t| t.get(k)));
+            let certified: f64 = certified
+                .iter()
+                .map(|v| v.and_then(Value::as_f64).unwrap())
+                .sum();
+            let tagged = rows.values().filter(|r| r.static_verdict.is_some()).count();
+            assert_eq!(tagged as f64, certified, "{name}");
+            let minified = dir.join(name);
+            std::fs::write(&minified, doc.to_compact()).unwrap();
+            let minified = minified.to_str().unwrap();
+            assert_eq!(parse_outcomes(&doc.to_compact(), name), Ok(rows));
+            assert_eq!(run(&path, minified), Ok(0));
+            assert_eq!(run(minified, &path), Ok(0));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -11,7 +11,8 @@
 use std::time::Instant;
 
 use bench::experiments as ex;
-use bench::output::{f, render_table, results_dir, write_csv};
+use bench::output::{f, render_table, results_dir, write_csv, write_json};
+use mssim::json::{Precision::Fixed, Value};
 use pwmcell::{SimQuality, Technology};
 
 const EXPERIMENTS: &[&str] = &[
@@ -889,48 +890,30 @@ fn analyze_report(tech: &Technology) {
         .with_tolerance(0.05)
         .with_supply_scale(0.9, 1.0);
     let mut denials = 0usize;
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mssim-analyze-v1\",\n");
-    json.push_str("  \"tolerance\": 0.05,\n  \"supply_scale\": [0.9, 1.0],\n");
-    json.push_str("  \"circuits\": [\n");
-    let circuits = shipped_analog_circuits(tech);
-    for (idx, (name, ckt)) in circuits.iter().enumerate() {
+    let mut records = Vec::new();
+    for (name, ckt) in shipped_analog_circuits(tech) {
         let t0 = Instant::now();
-        let report = mssim::analyze_circuit(ckt, &ranges);
+        let report = mssim::analyze_circuit(&ckt, &ranges);
         let wall_ns = t0.elapsed().as_nanos();
         denials += report.denials().count();
         print!("[analyze] {name}: {report}");
-        json.push_str("    {\n");
-        json.push_str(&format!("      \"name\": \"{name}\",\n"));
-        json.push_str(&format!(
-            "      \"denials\": {},\n",
-            report.denials().count()
-        ));
-        json.push_str(&format!(
-            "      \"warnings\": {},\n",
-            report.warnings().count()
-        ));
-        json.push_str(&format!("      \"wall_ns\": {wall_ns},\n"));
-        json.push_str("      \"findings\": [");
-        for (i, d) in report.findings().iter().enumerate() {
-            if i > 0 {
-                json.push_str(", ");
-            }
-            json.push_str(&format!("\"{}\"", d.code.id()));
-        }
-        json.push_str("]\n");
-        json.push_str(if idx + 1 == circuits.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+        let findings = report.findings().iter().map(|d| Value::from(d.code.id()));
+        records.push(
+            Value::object()
+                .with("name", name)
+                .with("denials", report.denials().count())
+                .with("warnings", report.warnings().count())
+                .with("wall_ns", wall_ns)
+                .with("findings", findings.collect::<Value>()),
+        );
     }
-    json.push_str("  ]\n}\n");
-    let path = results_dir().join("ANALYZE_mssim.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {} ({} bytes)", path.display(), json.len()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
-    }
+    let scale = |x: f64| Value::float(x, Fixed(1));
+    let doc = Value::object()
+        .with("schema", "mssim-analyze-v1")
+        .with("tolerance", Value::float(0.05, Fixed(2)))
+        .with("supply_scale", vec![scale(0.9), scale(1.0)])
+        .with("circuits", records);
+    write_json(&results_dir().join("ANALYZE_mssim.json"), &doc);
     if denials > 0 {
         eprintln!("analyze: {denials} deny-level finding(s) over the declared ranges — failing");
         std::process::exit(1);
@@ -938,10 +921,25 @@ fn analyze_report(tech: &Technology) {
     println!("analyze: every shipped circuit is certified free of MS030/MS031 over the envelope");
 }
 
+/// Sets `members` in `results/BENCH_mssim.json` and keeps every other
+/// member, so each mode refreshes only its own part of the record. An
+/// unparseable record is left untouched and fails the run.
+fn merge_bench_json(members: Value) {
+    let path = results_dir().join("BENCH_mssim.json");
+    let existing = std::fs::read_to_string(&path).ok();
+    match bench::hotpath::merge(existing.as_deref(), members) {
+        Ok(doc) => write_json(&path, &doc),
+        Err(e) => {
+            eprintln!("{}: {e}; not overwriting it", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Solver hot-path benchmark: times the compiled stamp plan against the
 /// naive reference assembler on the shipped circuits, asserting waveform
-/// equivalence within 1e-12 before timing, and writes the machine-readable
-/// trajectory record `results/BENCH_mssim.json`.
+/// equivalence within 1e-12 before timing, and sets the bench fields and
+/// `entries` of the trajectory record `results/BENCH_mssim.json`.
 fn bench(tech: &Technology, fast: bool) {
     use bench::hotpath;
 
@@ -982,12 +980,7 @@ fn bench(tech: &Technology, fast: bool) {
         astats.simulated,
         astats.collapse_ratio()
     );
-    let json = hotpath::to_json(&rows, repeats, fast, overhead, &astats);
-    let path = results_dir().join("BENCH_mssim.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {} ({} bytes)", path.display(), json.len()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
-    }
+    merge_bench_json(hotpath::to_json(&rows, repeats, fast, overhead, &astats));
     if let Some(adder) = rows.iter().find(|r| r.name == "tran_adder3x3") {
         println!(
             "headline: 3x3 switch-level adder transient runs {:.2}x faster than the reference path",
@@ -1218,49 +1211,12 @@ fn faults(tech: &Technology, fast: bool, no_collapse: bool, no_triage: bool, tri
             &table
         )
     );
-    for tag in campaign::CLASS_TAGS {
-        println!("  {tag}: {}", report.count(tag));
-    }
     if let Some(errs) = report.error_summary() {
         println!(
             "  |error| over settled outputs: mean {} V, max {} V",
             f(errs.mean, 3),
             f(errs.max, 3)
         );
-    }
-    println!(
-        "  rescue ladder: {} rungs burned across the campaign, {} faults classified in {} sweep points",
-        report.rescue_attempts(),
-        report.outcomes.len(),
-        rec.counter_value("sweep.points"),
-    );
-    if let Some(stats) = &report.collapse {
-        println!(
-            "  static collapsing: {} faults -> {} classes, {} transients simulated ({} golden-equivalent)",
-            stats.universe, stats.classes, stats.simulated, stats.golden
-        );
-    } else {
-        println!("  static collapsing disabled (--no-collapse): full sweep");
-    }
-    if let Some(t) = &report.triage {
-        println!(
-            "  static triage: {} masked + {} failed of {} certified without a transient ({:.1}%), {} simulated",
-            t.masked,
-            t.failed,
-            t.universe,
-            t.triage_ratio() * 100.0,
-            t.simulated
-        );
-        if t.triage_ratio() < 0.20 {
-            eprintln!(
-                "faults: triage resolves only {:.1}% of the switch universe (< 20%) — failing",
-                t.triage_ratio() * 100.0
-            );
-            std::process::exit(1);
-        }
-    } else if !no_triage && !no_collapse {
-        eprintln!("faults: triaged campaign recorded no triage statistics — failing");
-        std::process::exit(1);
     }
     let partials = report
         .outcomes
@@ -1270,22 +1226,27 @@ fn faults(tech: &Technology, fast: bool, no_collapse: bool, no_triage: bool, tri
     if partials > 0 {
         println!("  {partials} fault(s) degraded gracefully to partial waveforms");
     }
-
-    let json = campaign::to_json(&report, &config, fast);
-    let path = results_dir().join("FAULTS_mssim.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {} ({} bytes)", path.display(), json.len()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
+    match &report.triage {
+        Some(t) if t.triage_ratio() < 0.20 => {
+            eprintln!(
+                "faults: triage resolves only {:.1}% of the switch universe (< 20%) — failing",
+                t.triage_ratio() * 100.0
+            );
+            std::process::exit(1);
+        }
+        None if !no_triage && !no_collapse => {
+            eprintln!("faults: triaged campaign recorded no triage statistics — failing");
+            std::process::exit(1);
+        }
+        _ => {}
     }
-    let bad = campaign::unclassified(&report);
-    if !bad.is_empty() {
-        eprintln!(
-            "faults: {} unclassified outcome(s): {bad:?} — failing",
-            bad.len()
-        );
-        std::process::exit(1);
-    }
-    println!("faults: every outcome classified");
+    finish_campaign(
+        &report,
+        &config,
+        fast,
+        rec.counter_value("sweep.points"),
+        "FAULTS_mssim.json",
+    );
 
     // Same campaign, transistor-level cell: every transient (golden and
     // faulty) runs with MOSFET voltage limiting + device latency on, so
@@ -1332,22 +1293,38 @@ fn faults(tech: &Technology, fast: bool, no_collapse: bool, no_triage: bool, tri
             &loud
         )
     );
+    let points = mos_rec.counter_value("sweep.points");
+    finish_campaign(&mos, &config, fast, points, "FAULTS_mos_mssim.json");
+}
+
+/// Prints a campaign's class counts and rescue/collapse/triage summary,
+/// writes its `mssim-faults-v2` record to `results/<file>`, and fails the
+/// run unless every outcome classifies cleanly.
+fn finish_campaign(
+    report: &pwm_perceptron::faults::CampaignReport,
+    config: &pwm_perceptron::faults::CampaignConfig,
+    fast: bool,
+    sweep_points: u64,
+    file: &str,
+) {
+    use bench::campaign;
+
     for tag in campaign::CLASS_TAGS {
-        println!("  {tag}: {}", mos.count(tag));
+        println!("  {tag}: {}", report.count(tag));
     }
     println!(
-        "  rescue ladder: {} rungs burned, {} faults classified in {} sweep points",
-        mos.rescue_attempts(),
-        mos.outcomes.len(),
-        mos_rec.counter_value("sweep.points"),
+        "  rescue ladder: {} rungs burned, {} faults classified in {sweep_points} sweep points",
+        report.rescue_attempts(),
+        report.outcomes.len(),
     );
-    if let Some(stats) = &mos.collapse {
-        println!(
+    match &report.collapse {
+        Some(stats) => println!(
             "  static collapsing: {} faults -> {} classes, {} transients simulated ({} golden-equivalent)",
             stats.universe, stats.classes, stats.simulated, stats.golden
-        );
+        ),
+        None => println!("  static collapsing disabled (--no-collapse): full sweep"),
     }
-    if let Some(t) = &mos.triage {
+    if let Some(t) = &report.triage {
         println!(
             "  static triage: {} masked + {} failed of {} certified without a transient ({:.1}%), {} simulated",
             t.masked,
@@ -1357,21 +1334,19 @@ fn faults(tech: &Technology, fast: bool, no_collapse: bool, no_triage: bool, tri
             t.simulated
         );
     }
-    let mos_json = campaign::to_json(&mos, &config, fast);
-    let mos_path = results_dir().join("FAULTS_mos_mssim.json");
-    match std::fs::write(&mos_path, &mos_json) {
-        Ok(()) => println!("wrote {} ({} bytes)", mos_path.display(), mos_json.len()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", mos_path.display()),
-    }
-    let mos_bad = campaign::unclassified(&mos);
-    if !mos_bad.is_empty() {
+    write_json(
+        &results_dir().join(file),
+        &campaign::to_json(report, config, fast),
+    );
+    let bad = campaign::unclassified(report);
+    if !bad.is_empty() {
         eprintln!(
-            "faults: {} unclassified MOS outcome(s): {mos_bad:?} — failing",
-            mos_bad.len()
+            "faults: {} unclassified outcome(s) in {file}: {bad:?} — failing",
+            bad.len()
         );
         std::process::exit(1);
     }
-    println!("faults: every MOS outcome classified");
+    println!("faults: every outcome in {file} classified");
 }
 
 /// Renders one universe's `--triage-only` verdict table: per fault class
@@ -1485,13 +1460,7 @@ fn serve(queries: Option<usize>, fast: bool) {
         report.naive_qps, report.speedup_vs_naive, report.divergences
     );
 
-    let path = results_dir().join("BENCH_mssim.json");
-    let existing = std::fs::read_to_string(&path).ok();
-    let merged = sv::merge_into_bench_json(existing.as_deref(), &report, &config);
-    match std::fs::write(&path, &merged) {
-        Ok(()) => println!("wrote {} ({} bytes)", path.display(), merged.len()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
-    }
+    merge_bench_json(Value::object().with("serve", sv::to_json(&report, &config)));
 
     let mut failures = 0usize;
     if report.speedup_vs_naive < 10.0 {
@@ -1616,13 +1585,7 @@ fn chaos(queries: Option<usize>, fast: bool) {
         report.storm.injected_spike,
     );
 
-    let path = results_dir().join("BENCH_mssim.json");
-    let existing = std::fs::read_to_string(&path).ok();
-    let merged = ch::merge_into_bench_json(existing.as_deref(), &report, &config);
-    match std::fs::write(&path, &merged) {
-        Ok(()) => println!("wrote {} ({} bytes)", path.display(), merged.len()),
-        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
-    }
+    merge_bench_json(Value::object().with("chaos", ch::to_json(&report, &config)));
 
     let violations = report.violations();
     if !violations.is_empty() {

@@ -12,6 +12,7 @@
 //! the static triage tier carries its guaranteed verdict and Vout
 //! enclosure instead of a measured output.
 
+use mssim::json::{Precision, Value};
 use pwm_perceptron::faults::{CampaignConfig, CampaignReport, FaultClass};
 
 /// Schema tag of the exported record.
@@ -19,17 +20,6 @@ pub const FAULTS_SCHEMA: &str = "mssim-faults-v2";
 
 /// The four class tags, in report order.
 pub const CLASS_TAGS: [&str; 4] = ["masked", "degraded", "functional_fail", "solver_fail"];
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn opt_num(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.6}"),
-        _ => "null".into(),
-    }
-}
 
 /// Returns the report's outcomes sorted by fault label (labels are
 /// unique per universe, so the order is total). Both the exported JSON
@@ -42,7 +32,7 @@ pub fn sorted_outcomes(report: &CampaignReport) -> Vec<&pwm_perceptron::faults::
     outcomes
 }
 
-/// Serializes a campaign report as the `mssim-faults-v1` JSON document.
+/// Builds the `mssim-faults-v2` document for a campaign report.
 ///
 /// Outcomes are emitted sorted by fault label ([`sorted_outcomes`]) and
 /// every number is printed with fixed precision, so two runs of the same
@@ -50,109 +40,55 @@ pub fn sorted_outcomes(report: &CampaignReport) -> Vec<&pwm_perceptron::faults::
 /// collapsed campaign produces the same document as an uncollapsed one
 /// (collapse statistics are deliberately not serialized, so `repro
 /// faults` and `repro faults --no-collapse` artifacts can be `cmp`ed).
-pub fn to_json(report: &CampaignReport, config: &CampaignConfig, fast: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{FAULTS_SCHEMA}\",\n"));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if fast { "fast" } else { "full" }
-    ));
-    out.push_str(&format!("  \"frequency_hz\": {:.0},\n", config.frequency));
-    out.push_str(&format!("  \"periods\": {},\n", config.periods));
-    out.push_str(&format!(
-        "  \"steps_per_period\": {},\n",
-        config.steps_per_period
-    ));
-    out.push_str(&format!("  \"avg_periods\": {},\n", config.avg_periods));
-    out.push_str(&format!(
-        "  \"masked_epsilon_v\": {:.6},\n",
-        config.masked_epsilon
-    ));
-    out.push_str(&format!(
-        "  \"fail_epsilon_v\": {:.6},\n",
-        config.fail_epsilon
-    ));
-    out.push_str(&format!("  \"seed\": {},\n", config.universe.seed));
-    out.push_str(&format!(
-        "  \"analytic_vout\": {:.6},\n",
-        report.analytic_vout
-    ));
-    out.push_str(&format!("  \"golden_vout\": {:.6},\n", report.golden_vout));
-    out.push_str("  \"counts\": {");
-    for (i, tag) in CLASS_TAGS.iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{tag}\": {}",
-            if i == 0 { " " } else { ", " },
-            report.count(tag)
-        ));
-    }
-    out.push_str(" },\n");
-    out.push_str(&format!(
-        "  \"rescue_attempts\": {},\n",
-        report.rescue_attempts()
-    ));
-    match &report.triage {
-        Some(t) => out.push_str(&format!(
-            "  \"triage\": {{ \"universe\": {}, \"masked\": {}, \"failed\": {}, \"simulated\": {}, \"ratio\": {:.6} }},\n",
-            t.universe,
-            t.masked,
-            t.failed,
-            t.simulated,
-            t.triage_ratio()
-        )),
-        None => out.push_str("  \"triage\": null,\n"),
-    }
-    out.push_str("  \"outcomes\": [\n");
-    let outcomes = sorted_outcomes(report);
-    for (i, o) in outcomes.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"label\": \"{}\",\n", esc(&o.label)));
-        out.push_str(&format!("      \"kind\": \"{}\",\n", o.kind));
-        out.push_str(&format!("      \"class\": \"{}\",\n", o.class.tag()));
-        out.push_str(&format!(
-            "      \"static_verdict\": {},\n",
-            match o.static_verdict {
-                Some(v) => format!("\"{}\"", v.tag()),
-                None => "null".into(),
-            }
-        ));
-        out.push_str(&format!(
-            "      \"enclosure\": {},\n",
-            match o.enclosure {
-                Some((lo, hi)) => format!("[{lo:.9e}, {hi:.9e}]"),
-                None => "null".into(),
-            }
-        ));
-        out.push_str(&format!("      \"vout\": {},\n", opt_num(o.vout)));
-        out.push_str(&format!("      \"error_v\": {},\n", opt_num(o.error_v)));
-        out.push_str(&format!(
-            "      \"partial\": {},\n",
-            matches!(o.class, FaultClass::SolverFail { partial: true })
-        ));
-        out.push_str(&format!(
-            "      \"rescue_attempts\": {},\n",
-            o.rescue_attempts
-        ));
-        out.push_str(&format!(
-            "      \"rescue_recoveries\": {},\n",
-            o.rescue_recoveries
-        ));
-        out.push_str(&format!(
-            "      \"detail\": {}\n",
-            match &o.error {
-                Some(e) => format!("\"{}\"", esc(e)),
-                None => "null".into(),
-            }
-        ));
-        out.push_str(if i + 1 == outcomes.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn to_json(report: &CampaignReport, config: &CampaignConfig, fast: bool) -> Value {
+    let fixed6 = |x: f64| Value::float(x, Precision::Fixed(6));
+    let counts = CLASS_TAGS.iter().fold(Value::object(), |counts, tag| {
+        counts.with(tag, report.count(tag))
+    });
+    let triage = report.triage.as_ref().map(|t| {
+        Value::object()
+            .with("universe", t.universe)
+            .with("masked", t.masked)
+            .with("failed", t.failed)
+            .with("simulated", t.simulated)
+            .with("ratio", fixed6(t.triage_ratio()))
+    });
+    let outcomes = sorted_outcomes(report).into_iter().map(|o| {
+        let bound = |x: f64| Value::float(x, Precision::ExpFixed(9));
+        let enclosure = o.enclosure.map(|(lo, hi)| vec![bound(lo), bound(hi)]);
+        let partial = o.class == FaultClass::SolverFail { partial: true };
+        Value::object()
+            .with("label", o.label.as_str())
+            .with("kind", o.kind)
+            .with("class", o.class.tag())
+            .with("static_verdict", o.static_verdict.map(|v| v.tag()))
+            .with("enclosure", enclosure)
+            .with("vout", o.vout.map(fixed6))
+            .with("error_v", o.error_v.map(fixed6))
+            .with("partial", partial)
+            .with("rescue_attempts", o.rescue_attempts)
+            .with("rescue_recoveries", o.rescue_recoveries)
+            .with("detail", o.error.as_deref())
+    });
+    Value::object()
+        .with("schema", FAULTS_SCHEMA)
+        .with("mode", if fast { "fast" } else { "full" })
+        .with(
+            "frequency_hz",
+            Value::float(config.frequency, Precision::Fixed(0)),
+        )
+        .with("periods", config.periods)
+        .with("steps_per_period", config.steps_per_period)
+        .with("avg_periods", config.avg_periods)
+        .with("masked_epsilon_v", fixed6(config.masked_epsilon))
+        .with("fail_epsilon_v", fixed6(config.fail_epsilon))
+        .with("seed", config.universe.seed)
+        .with("analytic_vout", fixed6(report.analytic_vout))
+        .with("golden_vout", fixed6(report.golden_vout))
+        .with("counts", counts)
+        .with("rescue_attempts", report.rescue_attempts())
+        .with("triage", triage)
+        .with("outcomes", outcomes.collect::<Value>())
 }
 
 /// The CI gate: returns the labels of every outcome that is not cleanly
@@ -220,8 +156,8 @@ mod tests {
     fn json_is_bitwise_deterministic() {
         let (a, config) = tiny_campaign();
         let (b, _) = tiny_campaign();
-        let ja = to_json(&a, &config, true);
-        let jb = to_json(&b, &config, true);
+        let ja = to_json(&a, &config, true).to_pretty();
+        let jb = to_json(&b, &config, true).to_pretty();
         assert_eq!(ja, jb, "same seed must give bitwise-identical JSON");
         assert!(ja.contains(FAULTS_SCHEMA));
         assert!(ja.contains("\"outcomes\": ["));
@@ -252,8 +188,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            to_json(&report, &config, true),
-            to_json(&collapsed, &collapsed_config, true),
+            to_json(&report, &config, true).to_pretty(),
+            to_json(&collapsed, &collapsed_config, true).to_pretty(),
             "collapsed and full campaigns must export bitwise-identical JSON"
         );
     }
@@ -286,6 +222,45 @@ mod tests {
         assert_eq!(bad, vec!["bogus".to_string()]);
     }
 
+    /// Element names reach the record verbatim, so quotes, backslashes
+    /// and control characters must survive a write/parse round trip.
+    #[test]
+    fn labels_and_details_with_special_characters_round_trip() {
+        let (mut report, config) = tiny_campaign();
+        let nasty = "a\"b\\c\nd\te\u{1}f";
+        report.outcomes.push(FaultOutcome {
+            label: format!("resistor_open:{nasty}"),
+            kind: "resistor_open",
+            vout: Some(f64::NAN),
+            error_v: Some(f64::INFINITY),
+            class: FaultClass::SolverFail { partial: false },
+            rescue_attempts: 0,
+            rescue_recoveries: 0,
+            error: Some(nasty.to_string()),
+            static_verdict: None,
+            enclosure: Some((f64::NEG_INFINITY, 1.0)),
+        });
+        let text = to_json(&report, &config, true).to_pretty();
+        let doc = mssim::json::parse(&text).expect("the record is valid JSON");
+        let row = doc
+            .get("outcomes")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .find(|row| row.get("detail").and_then(Value::as_str) == Some(nasty));
+        let row = row.expect("the row's detail parses back unchanged");
+        assert_eq!(
+            row.get("label").and_then(Value::as_str),
+            Some(&*format!("resistor_open:{nasty}"))
+        );
+        assert_eq!(row.get("vout"), Some(&Value::Null));
+        assert_eq!(row.get("error_v"), Some(&Value::Null));
+        assert_eq!(
+            row.get("enclosure").map(Value::to_compact).as_deref(),
+            Some("[null,1.000000000e0]")
+        );
+    }
+
     /// Statically-resolved rows carry no measured output but must still
     /// pass the gate, and the v2 document records their verdict and
     /// enclosure.
@@ -312,7 +287,7 @@ mod tests {
         );
         let stats = report.triage.expect("triaged run records stats");
         assert!(stats.masked + stats.failed > 0, "triage resolves something");
-        let json = to_json(&report, &config, true);
+        let json = to_json(&report, &config, true).to_pretty();
         assert!(json.contains("\"schema\": \"mssim-faults-v2\""));
         assert!(json.contains("\"triage\": { \"universe\":"));
         assert!(json.contains("\"static_verdict\": \"guaranteed_"));

@@ -30,6 +30,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use mssim::json::{Precision::Fixed, Value};
 use pwm_perceptron::prelude::*;
 
 use crate::serve::{serve_tech, uniform_stream, ServeConfig};
@@ -447,63 +448,48 @@ pub fn run(config: &ChaosHarnessConfig) -> ChaosReport {
     }
 }
 
-/// Renders the `chaos` JSON object (two-space indent) for embedding in
-/// the `mssim-bench-v1` document.
-///
-/// Like the serve section, key naming avoids `bench_compare`'s entry
-/// scanner: no bare `"name"` or `"speedup"` keys.
-pub fn to_json(report: &ChaosReport, config: &ChaosHarnessConfig) -> String {
-    let stream_json = |s: &ChaosStreamReport| {
-        format!(
-            "      {{\n        \"stream\": \"{}\",\n        \"fail_rate\": {:.4},\n        \"nan_rate\": {:.4},\n        \"spike_rate\": {:.4},\n        \"queries\": {},\n        \"availability\": {:.6},\n        \"degraded\": {},\n        \"degraded_rate\": {:.6},\n        \"max_degraded_error_v\": {:.6},\n        \"bound_violations\": {},\n        \"divergences\": {},\n        \"panics\": {},\n        \"retries\": {},\n        \"demotions\": {},\n        \"deadline_exceeded\": {},\n        \"breaker_trips\": {},\n        \"lock_poisoned\": {},\n        \"poison_injected\": {},\n        \"injected_fail\": {},\n        \"injected_nan\": {},\n        \"injected_spike\": {},\n        \"batch_availability\": {:.6},\n        \"batch_degraded\": {}\n      }}",
-            s.stream,
-            s.mix.fail,
-            s.mix.nan,
-            s.mix.spike,
-            s.queries,
-            s.availability,
-            s.degraded,
-            s.degraded_rate,
-            s.max_degraded_error_v,
-            s.bound_violations,
-            s.divergences,
-            s.panics,
-            s.retries,
-            s.demotions,
-            s.deadline_exceeded,
-            s.breaker_trips,
-            s.lock_poisoned,
-            s.poison_injected,
-            s.injected_fail,
-            s.injected_nan,
-            s.injected_spike,
-            s.batch_availability,
-            s.batch_degraded,
-        )
+/// Builds the `chaos` section of the `mssim-bench-v1` document.
+pub fn to_json(report: &ChaosReport, config: &ChaosHarnessConfig) -> Value {
+    let fixed = |x: f64, digits| Value::float(x, Fixed(digits));
+    let stream = |s: &ChaosStreamReport| {
+        Value::object()
+            .with("stream", s.stream)
+            .with("fail_rate", fixed(s.mix.fail, 4))
+            .with("nan_rate", fixed(s.mix.nan, 4))
+            .with("spike_rate", fixed(s.mix.spike, 4))
+            .with("queries", s.queries)
+            .with("availability", fixed(s.availability, 6))
+            .with("degraded", s.degraded)
+            .with("degraded_rate", fixed(s.degraded_rate, 6))
+            .with("max_degraded_error_v", fixed(s.max_degraded_error_v, 6))
+            .with("bound_violations", s.bound_violations)
+            .with("divergences", s.divergences)
+            .with("panics", s.panics)
+            .with("retries", s.retries)
+            .with("demotions", s.demotions)
+            .with("deadline_exceeded", s.deadline_exceeded)
+            .with("breaker_trips", s.breaker_trips)
+            .with("lock_poisoned", s.lock_poisoned)
+            .with("poison_injected", s.poison_injected)
+            .with("injected_fail", s.injected_fail)
+            .with("injected_nan", s.injected_nan)
+            .with("injected_spike", s.injected_spike)
+            .with("batch_availability", fixed(s.batch_availability, 6))
+            .with("batch_degraded", s.batch_degraded)
     };
-    format!(
-        "  \"chaos\": {{\n    \"queries\": {},\n    \"seed\": {},\n    \"resolution\": {},\n    \"spike_ns\": {},\n    \"deadline_ns\": {},\n    \"step_ns\": {},\n    \"poison_every\": {},\n    \"streams\": [\n{},\n{}\n    ]\n  }}",
-        config.queries,
-        config.seed,
-        config.resolution,
-        config.spike_ns,
-        config.deadline_ns,
-        config.step_ns,
-        config.poison_every,
-        stream_json(&report.baseline),
-        stream_json(&report.storm),
-    )
-}
-
-/// Merges the chaos section into an existing `mssim-bench-v1` document
-/// (replacing any previous chaos section), or synthesizes a minimal
-/// document when none exists.
-pub fn merge_into_bench_json(
-    existing: Option<&str>,
-    report: &ChaosReport,
-    config: &ChaosHarnessConfig,
-) -> String {
-    crate::section::merge_section(existing, "chaos", &to_json(report, config))
+    let streams: Value = [&report.baseline, &report.storm]
+        .into_iter()
+        .map(stream)
+        .collect();
+    Value::object()
+        .with("queries", config.queries)
+        .with("seed", config.seed)
+        .with("resolution", config.resolution)
+        .with("spike_ns", config.spike_ns)
+        .with("deadline_ns", config.deadline_ns)
+        .with("step_ns", config.step_ns)
+        .with("poison_every", config.poison_every)
+        .with("streams", streams)
 }
 
 #[cfg(test)]
@@ -553,21 +539,5 @@ mod tests {
             (a.baseline.injected_fail, a.baseline.retries),
             (b.baseline.injected_fail, b.baseline.retries),
         );
-    }
-
-    #[test]
-    fn chaos_section_merges_and_replaces() {
-        let c = tiny();
-        let report = run(&c);
-        let base =
-            "{\n  \"schema\": \"mssim-bench-v1\",\n  \"repeats\": 3,\n  \"entries\": [\n  ]\n}\n";
-        let merged = merge_into_bench_json(Some(base), &report, &c);
-        assert!(merged.find("\"chaos\"").unwrap() < merged.find("\"entries\"").unwrap());
-        let remerged = merge_into_bench_json(Some(&merged), &report, &c);
-        assert_eq!(remerged.matches("\"chaos\"").count(), 1);
-        let section =
-            &merged[merged.find("\"chaos\"").unwrap()..merged.find("\"entries\"").unwrap()];
-        assert!(!section.contains("\"name\":"), "no bare name key");
-        assert!(!section.contains("\"speedup\":"), "no bare speedup key");
     }
 }

@@ -13,9 +13,13 @@
 use std::time::Instant;
 
 use mssim::analysis::dc_sweep_reference;
+use mssim::json::{self, ParseError, Precision, Value};
 use mssim::prelude::*;
 use mssim::telemetry::MemoryRecorder;
 use pwmcell::{AdderSpec, Inverter, SwitchAdder, Technology, WeightedAdder};
+
+/// Schema tag of the bench trajectory record.
+pub const BENCH_SCHEMA: &str = "mssim-bench-v1";
 
 /// Largest waveform deviation the *exact* equivalence gate tolerates.
 /// The solver is designed for *bitwise* agreement; 1e-12 is the issue's
@@ -179,7 +183,7 @@ pub fn analyze_stats(tech: &Technology) -> AnalyzeStats {
     }
 }
 
-/// Serializes rows as the `mssim-bench-v1` JSON document.
+/// Builds the `mssim-bench-v1` document.
 /// `telemetry_overhead` is the [`telemetry_overhead`] ratio measured for
 /// the run (1.0 means the instrumented entry point is free when no
 /// observer is attached); `analyze` carries the abstract-interpreter
@@ -190,83 +194,64 @@ pub fn to_json(
     fast: bool,
     telemetry_overhead: f64,
     analyze: &AnalyzeStats,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mssim-bench-v1\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if fast { "fast" } else { "full" }
-    ));
-    out.push_str(&format!("  \"repeats\": {repeats},\n"));
-    out.push_str(&format!("  \"equivalence_tol\": {EQUIVALENCE_TOL:e},\n"));
-    out.push_str(&format!(
-        "  \"equivalence_tol_limited\": {EQUIVALENCE_TOL_LIMITED:e},\n"
-    ));
-    out.push_str(&format!(
-        "  \"telemetry_overhead\": {telemetry_overhead:.4},\n"
-    ));
-    out.push_str(&format!(
-        "  \"analyze_wall_ns\": {:.0},\n",
-        analyze.analyze_wall_ns
-    ));
-    out.push_str(&format!("  \"collapse_universe\": {},\n", analyze.universe));
-    out.push_str(&format!(
-        "  \"collapse_simulated\": {},\n",
-        analyze.simulated
-    ));
-    out.push_str(&format!(
-        "  \"collapse_ratio\": {:.4},\n",
-        analyze.collapse_ratio()
-    ));
-    out.push_str(&format!(
-        "  \"triage_wall_ns\": {:.0},\n",
-        analyze.triage_wall_ns
-    ));
-    out.push_str(&format!(
-        "  \"triage_resolved\": {},\n",
-        analyze.triage_resolved
-    ));
-    out.push_str(&format!(
-        "  \"triage_ratio\": {:.4},\n",
-        analyze.triage_ratio()
-    ));
-    out.push_str("  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        out.push_str(&format!("      \"items\": {},\n", r.items));
-        out.push_str(&format!("      \"unit\": \"{}\",\n", r.unit));
-        out.push_str(&format!(
-            "      \"reference_best_ns\": {:.0},\n",
-            r.reference_best_ns
-        ));
-        out.push_str(&format!("      \"plan_best_ns\": {:.0},\n", r.plan_best_ns));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", r.speedup));
-        out.push_str(&format!(
-            "      \"plan_ns_per_item\": {:.1},\n",
-            r.plan_ns_per_item
-        ));
-        out.push_str(&format!(
-            "      \"plan_items_per_s\": {:.0},\n",
-            r.plan_items_per_s
-        ));
-        out.push_str(&format!("      \"max_abs_diff\": {:e},\n", r.max_abs_diff));
-        out.push_str(&format!(
-            "      \"limited_max_abs_diff\": {:e},\n",
-            r.limited_max_abs_diff
-        ));
-        out.push_str(&format!("      \"device_evals\": {},\n", r.device_evals));
-        out.push_str(&format!("      \"limit_clamps\": {},\n", r.limit_clamps));
-        out.push_str(&format!("      \"latency_hits\": {}\n", r.latency_hits));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+) -> Value {
+    let fixed = |x: f64, digits| Value::float(x, Precision::Fixed(digits));
+    let exp = |x: f64| Value::float(x, Precision::Exp);
+    let entries = rows.iter().map(|r| {
+        Value::object()
+            .with("name", r.name)
+            .with("items", r.items)
+            .with("unit", r.unit)
+            .with("reference_best_ns", fixed(r.reference_best_ns, 0))
+            .with("plan_best_ns", fixed(r.plan_best_ns, 0))
+            .with("speedup", fixed(r.speedup, 3))
+            .with("plan_ns_per_item", fixed(r.plan_ns_per_item, 1))
+            .with("plan_items_per_s", fixed(r.plan_items_per_s, 0))
+            .with("max_abs_diff", exp(r.max_abs_diff))
+            .with("limited_max_abs_diff", exp(r.limited_max_abs_diff))
+            .with("device_evals", r.device_evals)
+            .with("limit_clamps", r.limit_clamps)
+            .with("latency_hits", r.latency_hits)
+    });
+    Value::object()
+        .with("schema", BENCH_SCHEMA)
+        .with("mode", if fast { "fast" } else { "full" })
+        .with("repeats", repeats)
+        .with("equivalence_tol", exp(EQUIVALENCE_TOL))
+        .with("equivalence_tol_limited", exp(EQUIVALENCE_TOL_LIMITED))
+        .with("telemetry_overhead", fixed(telemetry_overhead, 4))
+        .with("analyze_wall_ns", fixed(analyze.analyze_wall_ns, 0))
+        .with("collapse_universe", analyze.universe)
+        .with("collapse_simulated", analyze.simulated)
+        .with("collapse_ratio", fixed(analyze.collapse_ratio(), 4))
+        .with("triage_wall_ns", fixed(analyze.triage_wall_ns, 0))
+        .with("triage_resolved", analyze.triage_resolved)
+        .with("triage_ratio", fixed(analyze.triage_ratio(), 4))
+        .with("entries", entries.collect::<Value>())
+}
+
+/// Sets every member of `members` in the bench document `existing` (in
+/// place when present, appended otherwise) and keeps all other members,
+/// so `repro bench`, `repro serve` and `repro chaos` each refresh their
+/// own part of `results/BENCH_mssim.json`. A missing document starts as
+/// an empty `mssim-bench-v1` record.
+///
+/// # Errors
+///
+/// Returns the parse error when `existing` is not valid JSON.
+pub fn merge(existing: Option<&str>, members: Value) -> Result<Value, ParseError> {
+    let mut doc = match existing {
+        Some(text) => json::parse(text)?,
+        None => Value::object().with("schema", BENCH_SCHEMA),
+    };
+    let (Value::Object(_), Value::Object(members)) = (&doc, members) else {
+        let message = "a bench record must be a JSON object";
+        return Err(ParseError { offset: 0, message });
+    };
+    for (key, value) in members {
+        doc.set(&key, value);
     }
-    out.push_str("  ]\n}\n");
-    out
+    Ok(doc)
 }
 
 // ------------------------------------------------------------- fixtures
@@ -642,8 +627,10 @@ mod tests {
 
     /// A cut-down run of the real fixtures: equivalence assertions fire
     /// inside, so this test doubles as a smoke check of the harness.
+    /// Merging its record into the committed one refreshes the bench
+    /// fields and entries but keeps the `serve` and `chaos` sections.
     #[test]
-    fn rows_are_consistent_and_json_parses_shape() {
+    fn rows_are_consistent_and_merge_into_the_committed_record() {
         let tech = Technology::umc65_like();
         let r = tran_inverter(&tech, 10e-12, 64, 1);
         assert!(r.max_abs_diff <= EQUIVALENCE_TOL);
@@ -656,7 +643,8 @@ mod tests {
             triage_wall_ns: 2.0e6,
             triage_resolved: 18,
         };
-        let json = to_json(&[r], 1, true, 1.0, &stats);
+        let record = to_json(&[r], 1, true, 1.0, &stats);
+        let json = record.to_pretty();
         assert!(json.contains("\"schema\": \"mssim-bench-v1\""));
         assert!(json.contains("\"name\": \"tran_inverter\""));
         assert!(json.contains("\"telemetry_overhead\": 1.0000"));
@@ -664,7 +652,32 @@ mod tests {
         assert!(json.contains("\"analyze_wall_ns\": 1000000"));
         assert!(json.contains("\"triage_wall_ns\": 2000000"));
         assert!(json.contains("\"triage_ratio\": 0.3673"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/BENCH_mssim.json"
+        );
+        let committed = std::fs::read_to_string(path).unwrap();
+        let before = json::parse(&committed).unwrap();
+        let merged = merge(Some(&committed), record.clone()).unwrap();
+        for key in ["serve", "chaos"] {
+            assert!(merged.get(key).is_some(), "{key} kept");
+            assert_eq!(merged.get(key), before.get(key), "{key} unchanged");
+        }
+        assert_eq!(merged.get("entries"), record.get("entries"));
+        assert!(merge(Some("{\"schema\": "), Value::object()).is_err());
+        assert!(merge(Some("[]"), Value::object()).is_err());
+        assert_eq!(merge(None, record.clone()), Ok(record));
+    }
+
+    /// The committed records are exactly what the writer prints.
+    #[test]
+    fn committed_records_round_trip_byte_for_byte() {
+        for name in ["BENCH_mssim.json", "ANALYZE_mssim.json"] {
+            let path = format!("{}/../../results/{name}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(path).unwrap();
+            assert_eq!(json::parse(&text).unwrap().to_pretty(), text, "{name}");
+        }
     }
 
     /// The recorded analyzer statistics come from the real fixture: the

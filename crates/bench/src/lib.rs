@@ -12,7 +12,6 @@ pub mod chaos;
 pub mod experiments;
 pub mod hotpath;
 pub mod output;
-pub mod section;
 pub mod serve;
 
 pub use experiments::*;

@@ -4,6 +4,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use mssim::json::Value;
+
 /// Renders a fixed-width text table.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -57,6 +59,16 @@ pub fn write_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) {
     };
     match write() {
         Ok(()) => eprintln!("  wrote {}", path.display()),
+        Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
+    }
+}
+
+/// Writes `doc` in the pretty JSON layout; errors are reported, not
+/// fatal, like [`write_csv`].
+pub fn write_json(path: &Path, doc: &Value) {
+    let text = doc.to_pretty();
+    match fs::write(path, &text) {
+        Ok(()) => println!("wrote {} ({} bytes)", path.display(), text.len()),
         Err(e) => eprintln!("  warning: could not write {}: {e}", path.display()),
     }
 }

@@ -18,6 +18,7 @@ use pwmcell::{SimQuality, Technology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mssim::json::{Precision::Fixed, Value};
 use mssim::units::{Farads, Hertz};
 
 /// Load-harness knobs.
@@ -275,58 +276,35 @@ pub fn run(config: &ServeConfig) -> ServeReport {
     }
 }
 
-/// Renders the `serve` JSON object (two-space indent, no trailing comma)
-/// for embedding in the `mssim-bench-v1` document.
-///
-/// Key naming is constrained by `bench_compare`'s scanner: the section
-/// must not contain bare `"name"` or `"speedup"` keys (those belong to
-/// the `entries` fixtures), hence `"stream"` and `"speedup_vs_naive"`.
-pub fn to_json(report: &ServeReport, config: &ServeConfig) -> String {
-    let stream_json = |s: &StreamReport| {
-        format!(
-            "      {{\n        \"stream\": \"{}\",\n        \"queries\": {},\n        \"p50_ns\": {},\n        \"p99_ns\": {},\n        \"qps\": {:.0},\n        \"hit_rate\": {:.4},\n        \"tier_analytic\": {},\n        \"tier_switch_level\": {},\n        \"tier_circuit\": {}\n      }}",
-            s.stream,
-            s.queries,
-            s.p50_ns,
-            s.p99_ns,
-            s.qps,
-            s.hit_rate,
-            s.tier_analytic,
-            s.tier_switch_level,
-            s.tier_circuit
-        )
+/// Builds the `serve` section of the `mssim-bench-v1` document.
+pub fn to_json(report: &ServeReport, config: &ServeConfig) -> Value {
+    let fixed = |x: f64, digits| Value::float(x, Fixed(digits));
+    let stream = |s: &StreamReport| {
+        Value::object()
+            .with("stream", s.stream)
+            .with("queries", s.queries)
+            .with("p50_ns", s.p50_ns)
+            .with("p99_ns", s.p99_ns)
+            .with("qps", fixed(s.qps, 0))
+            .with("hit_rate", fixed(s.hit_rate, 4))
+            .with("tier_analytic", s.tier_analytic)
+            .with("tier_switch_level", s.tier_switch_level)
+            .with("tier_circuit", s.tier_circuit)
     };
-    format!(
-        "  \"serve\": {{\n    \"queries\": {},\n    \"seed\": {},\n    \"resolution\": {},\n    \"hot_set\": {},\n    \"hot_prob\": {:.2},\n    \"naive_qps\": {:.1},\n    \"speedup_vs_naive\": {:.1},\n    \"divergences\": {},\n    \"streams\": [\n{},\n{},\n{}\n    ]\n  }}",
-        config.queries,
-        config.seed,
-        config.resolution,
-        config.hot_set,
-        config.hot_prob,
-        report.naive_qps,
-        report.speedup_vs_naive,
-        report.divergences,
-        stream_json(&report.uniform),
-        stream_json(&report.switch),
-        stream_json(&report.hotset)
-    )
-}
-
-/// Removes an existing two-space-indented `"serve": {...},` section from
-/// a `mssim-bench-v1` document, if present.
-pub fn strip_serve_section(text: &str) -> String {
-    crate::section::strip_section(text, "serve")
-}
-
-/// Merges the serve section into an existing `mssim-bench-v1` document
-/// (inserted immediately before `"entries"`, replacing any previous serve
-/// section), or synthesizes a minimal document when none exists.
-pub fn merge_into_bench_json(
-    existing: Option<&str>,
-    report: &ServeReport,
-    config: &ServeConfig,
-) -> String {
-    crate::section::merge_section(existing, "serve", &to_json(report, config))
+    let streams: Value = [&report.uniform, &report.switch, &report.hotset]
+        .into_iter()
+        .map(stream)
+        .collect();
+    Value::object()
+        .with("queries", config.queries)
+        .with("seed", config.seed)
+        .with("resolution", config.resolution)
+        .with("hot_set", config.hot_set)
+        .with("hot_prob", fixed(config.hot_prob, 2))
+        .with("naive_qps", fixed(report.naive_qps, 1))
+        .with("speedup_vs_naive", fixed(report.speedup_vs_naive, 1))
+        .with("divergences", report.divergences)
+        .with("streams", streams)
 }
 
 #[cfg(test)]
@@ -402,107 +380,33 @@ mod tests {
     }
 
     #[test]
-    fn serve_section_merges_before_entries_and_strips_cleanly() {
+    fn serve_section_merges_into_the_bench_record() {
         let c = tiny();
+        let stream = |name, tier_circuit| StreamReport {
+            stream: name,
+            queries: 200,
+            p50_ns: 100,
+            p99_ns: 500,
+            qps: 1e6,
+            hit_rate: 0.5,
+            tier_analytic: 100,
+            tier_switch_level: 0,
+            tier_circuit,
+        };
         let report = ServeReport {
-            uniform: StreamReport {
-                stream: "uniform",
-                queries: 200,
-                p50_ns: 100,
-                p99_ns: 500,
-                qps: 1e6,
-                hit_rate: 0.5,
-                tier_analytic: 100,
-                tier_switch_level: 0,
-                tier_circuit: 0,
-            },
-            switch: StreamReport {
-                stream: "switch",
-                queries: 200,
-                p50_ns: 150,
-                p99_ns: 700,
-                qps: 1e5,
-                hit_rate: 0.5,
-                tier_analytic: 0,
-                tier_switch_level: 100,
-                tier_circuit: 0,
-            },
-            hotset: StreamReport {
-                stream: "hotset",
-                queries: 200,
-                p50_ns: 200,
-                p99_ns: 900,
-                qps: 1e4,
-                hit_rate: 0.95,
-                tier_analytic: 0,
-                tier_switch_level: 0,
-                tier_circuit: 10,
-            },
+            uniform: stream("uniform", 0),
+            switch: stream("switch", 0),
+            hotset: stream("hotset", 10),
             naive_qps: 100.0,
             speedup_vs_naive: 100.0,
             divergences: 0,
         };
-        let base =
-            "{\n  \"schema\": \"mssim-bench-v1\",\n  \"repeats\": 3,\n  \"entries\": [\n  ]\n}\n";
-        let merged = merge_into_bench_json(Some(base), &report, &c);
-        let serve_pos = merged.find("\"serve\"").expect("serve section present");
-        let entries_pos = merged.find("\"entries\"").expect("entries preserved");
-        assert!(serve_pos < entries_pos, "serve precedes entries");
-        assert!(merged.contains("\"repeats\": 3"), "scalars preserved");
-        assert!(!merged.contains("\"speedup\":"), "no bare speedup key");
-        assert!(!merged[serve_pos..entries_pos].contains("\"name\":"));
-        // Re-merging replaces rather than duplicates.
-        let remerged = merge_into_bench_json(Some(&merged), &report, &c);
-        assert_eq!(remerged.matches("\"serve\"").count(), 1);
-        // Stripping recovers a serve-free document.
-        let stripped = strip_serve_section(&merged);
-        assert!(!stripped.contains("\"serve\""));
-        assert!(stripped.contains("\"entries\""));
-    }
-
-    #[test]
-    fn merge_without_existing_document_synthesizes_one() {
-        let c = tiny();
-        let report = ServeReport {
-            uniform: StreamReport {
-                stream: "uniform",
-                queries: 1,
-                p50_ns: 1,
-                p99_ns: 1,
-                qps: 1.0,
-                hit_rate: 0.0,
-                tier_analytic: 1,
-                tier_switch_level: 0,
-                tier_circuit: 0,
-            },
-            switch: StreamReport {
-                stream: "switch",
-                queries: 1,
-                p50_ns: 1,
-                p99_ns: 1,
-                qps: 1.0,
-                hit_rate: 0.0,
-                tier_analytic: 0,
-                tier_switch_level: 1,
-                tier_circuit: 0,
-            },
-            hotset: StreamReport {
-                stream: "hotset",
-                queries: 1,
-                p50_ns: 1,
-                p99_ns: 1,
-                qps: 1.0,
-                hit_rate: 0.0,
-                tier_analytic: 0,
-                tier_switch_level: 0,
-                tier_circuit: 1,
-            },
-            naive_qps: 1.0,
-            speedup_vs_naive: 1.0,
-            divergences: 0,
-        };
-        let doc = merge_into_bench_json(None, &report, &c);
-        assert!(doc.contains("\"schema\": \"mssim-bench-v1\""));
-        assert!(doc.find("\"serve\"").unwrap() < doc.find("\"entries\"").unwrap());
+        let section = Value::object().with("serve", to_json(&report, &c));
+        let base = "{\"schema\": \"mssim-bench-v1\", \"repeats\": 3, \"entries\": []}";
+        let text = crate::hotpath::merge(Some(base), section)
+            .unwrap()
+            .to_pretty();
+        assert!(text.contains("  \"repeats\": 3,\n  \"entries\": [],\n  \"serve\": {\n"));
+        assert!(text.contains("\"hit_rate\": 0.5000,"));
     }
 }

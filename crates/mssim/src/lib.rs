@@ -17,6 +17,8 @@
 //! * structured instrumentation ([`telemetry`]): counters, histograms and
 //!   typed events from the homotopy, Newton and stepping loops, at zero
 //!   cost when no observer is attached,
+//! * the workspace's one JSON codec ([`json`]), used by the JSONL trace
+//!   writer and every recorded artifact,
 //! * waveform post-processing ([`trace::Trace`]: averages, ripple, RMS,
 //!   settling detection),
 //! * parallel parameter sweeps and Monte-Carlo drivers ([`sweep`]),
@@ -78,6 +80,7 @@ pub mod elements;
 pub mod error;
 pub mod export;
 pub mod faults;
+pub mod json;
 pub mod linear;
 pub mod lint;
 pub mod netlist;

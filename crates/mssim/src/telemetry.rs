@@ -48,6 +48,7 @@ use std::io::{self, Write};
 use crate::analysis::mna::{MnaLayout, NewtonOpts, SolveContext};
 use crate::analysis::plan::{SolverEngine, SolverStats};
 use crate::error::Error;
+use crate::json::{Precision, Value};
 use crate::netlist::Circuit;
 
 /// Schema identifier written as the first line of every JSONL trace.
@@ -684,204 +685,141 @@ impl Observer for MemoryRecorder {
     }
 }
 
-/// Appends a finite float as a JSON number, `null` otherwise (JSON has no
-/// Inf/NaN).
-fn push_json_f64(buf: &mut String, v: f64) {
-    if v.is_finite() {
-        buf.push_str(&format!("{v:?}"));
-    } else {
-        buf.push_str("null");
+impl From<SolverCounters> for Value {
+    fn from(c: SolverCounters) -> Value {
+        Value::object()
+            .with("iterations", c.iterations)
+            .with("factorizations", c.factorizations)
+            .with("back_substitutions", c.back_substitutions)
+            .with("bypasses", c.bypasses)
+            .with("rebases", c.rebases)
+            .with("device_evals", c.device_evals)
+            .with("limit_clamps", c.limit_clamps)
+            .with("latency_hits", c.latency_hits)
     }
 }
 
-fn push_json_counters(buf: &mut String, c: &SolverCounters) {
-    buf.push_str(&format!(
-        "{{\"iterations\":{},\"factorizations\":{},\"back_substitutions\":{},\"bypasses\":{},\"rebases\":{},\"device_evals\":{},\"limit_clamps\":{},\"latency_hits\":{}}}",
-        c.iterations,
-        c.factorizations,
-        c.back_substitutions,
-        c.bypasses,
-        c.rebases,
-        c.device_evals,
-        c.limit_clamps,
-        c.latency_hits
-    ));
-}
-
-/// Encodes one event as a single JSON line (without the trailing newline).
-fn event_json(event: &Event) -> String {
-    let mut s = String::new();
+/// Encodes one event as a JSON object tagged with its `event` name.
+fn event_json(event: &Event) -> Value {
+    let num = |x: f64| Value::float(x, Precision::Shortest);
+    let tag = |name: &str| Value::object().with("event", name);
     match *event {
-        Event::AnalysisStart { analysis } => {
-            s.push_str(&format!(
-                "{{\"event\":\"analysis_start\",\"analysis\":\"{analysis}\"}}"
-            ));
-        }
-        Event::AnalysisEnd { analysis } => {
-            s.push_str(&format!(
-                "{{\"event\":\"analysis_end\",\"analysis\":\"{analysis}\"}}"
-            ));
-        }
+        Event::AnalysisStart { analysis } => tag("analysis_start").with("analysis", analysis),
+        Event::AnalysisEnd { analysis } => tag("analysis_end").with("analysis", analysis),
         Event::Homotopy {
             stage,
             step,
             param,
             converged,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"homotopy\",\"stage\":\"{stage}\",\"step\":{step},\"param\":"
-            ));
-            push_json_f64(&mut s, param);
-            s.push_str(&format!(",\"converged\":{converged}}}"));
-        }
+        } => tag("homotopy")
+            .with("stage", stage)
+            .with("step", step)
+            .with("param", num(param))
+            .with("converged", converged),
         Event::NewtonSolve {
             analysis,
             time,
             iterations,
             plan,
             max_dv,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"newton_solve\",\"analysis\":\"{analysis}\",\"time\":"
-            ));
-            push_json_f64(&mut s, time);
-            s.push_str(&format!(",\"iterations\":{iterations},\"plan\":"));
-            match plan {
-                Some(c) => push_json_counters(&mut s, &c),
-                None => s.push_str("null"),
-            }
-            s.push_str(",\"max_dv\":");
-            match max_dv {
-                Some(dv) => push_json_f64(&mut s, dv),
-                None => s.push_str("null"),
-            }
-            s.push('}');
-        }
-        Event::StepAccepted { time, dt, lte } => {
-            s.push_str("{\"event\":\"step_accepted\",\"time\":");
-            push_json_f64(&mut s, time);
-            s.push_str(",\"dt\":");
-            push_json_f64(&mut s, dt);
-            s.push_str(",\"lte\":");
-            push_json_f64(&mut s, lte);
-            s.push('}');
-        }
-        Event::StepRejected { time, dt, lte } => {
-            s.push_str("{\"event\":\"step_rejected\",\"time\":");
-            push_json_f64(&mut s, time);
-            s.push_str(",\"dt\":");
-            push_json_f64(&mut s, dt);
-            s.push_str(",\"lte\":");
-            push_json_f64(&mut s, lte);
-            s.push('}');
-        }
+        } => tag("newton_solve")
+            .with("analysis", analysis)
+            .with("time", num(time))
+            .with("iterations", iterations)
+            .with("plan", plan)
+            .with("max_dv", max_dv.map(num)),
+        Event::StepAccepted { time, dt, lte } => tag("step_accepted")
+            .with("time", num(time))
+            .with("dt", num(dt))
+            .with("lte", num(lte)),
+        Event::StepRejected { time, dt, lte } => tag("step_rejected")
+            .with("time", num(time))
+            .with("dt", num(dt))
+            .with("lte", num(lte)),
         Event::EdgeSnap {
             time,
             dt,
             breakpoint,
-        } => {
-            s.push_str("{\"event\":\"edge_snap\",\"time\":");
-            push_json_f64(&mut s, time);
-            s.push_str(",\"dt\":");
-            push_json_f64(&mut s, dt);
-            s.push_str(",\"breakpoint\":");
-            push_json_f64(&mut s, breakpoint);
-            s.push('}');
-        }
+        } => tag("edge_snap")
+            .with("time", num(time))
+            .with("dt", num(dt))
+            .with("breakpoint", num(breakpoint)),
         Event::RescueAttempt {
             stage,
             time,
             dt,
             param,
             converged,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"rescue_attempt\",\"stage\":\"{stage}\",\"time\":"
-            ));
-            push_json_f64(&mut s, time);
-            s.push_str(",\"dt\":");
-            push_json_f64(&mut s, dt);
-            s.push_str(",\"param\":");
-            push_json_f64(&mut s, param);
-            s.push_str(&format!(",\"converged\":{converged}}}"));
-        }
+        } => tag("rescue_attempt")
+            .with("stage", stage)
+            .with("time", num(time))
+            .with("dt", num(dt))
+            .with("param", num(param))
+            .with("converged", converged),
         Event::RescueOutcome {
             time,
             stage,
             attempts,
             recovered,
-        } => {
-            s.push_str("{\"event\":\"rescue_outcome\",\"time\":");
-            push_json_f64(&mut s, time);
-            s.push_str(&format!(
-                ",\"stage\":\"{stage}\",\"attempts\":{attempts},\"recovered\":{recovered}}}"
-            ));
-        }
+        } => tag("rescue_outcome")
+            .with("time", num(time))
+            .with("stage", stage)
+            .with("attempts", attempts)
+            .with("recovered", recovered),
         Event::SweepPoint {
             index,
             wall_ns,
             thread,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"sweep_point\",\"index\":{index},\"wall_ns\":{wall_ns},\"thread\":{thread}}}"
-            ));
-        }
-        Event::SolverReport { analysis, counters } => {
-            s.push_str(&format!(
-                "{{\"event\":\"solver_report\",\"analysis\":\"{analysis}\",\"counters\":"
-            ));
-            push_json_counters(&mut s, &counters);
-            s.push('}');
-        }
-        Event::AnalyzeReport { denials, warnings } => {
-            s.push_str(&format!(
-                "{{\"event\":\"analyze_report\",\"denials\":{denials},\"warnings\":{warnings}}}"
-            ));
-        }
+        } => tag("sweep_point")
+            .with("index", index)
+            .with("wall_ns", wall_ns)
+            .with("thread", thread),
+        Event::SolverReport { analysis, counters } => tag("solver_report")
+            .with("analysis", analysis)
+            .with("counters", counters),
+        Event::AnalyzeReport { denials, warnings } => tag("analyze_report")
+            .with("denials", denials)
+            .with("warnings", warnings),
         Event::FaultCollapse {
             universe,
             classes,
             simulated,
             golden,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"fault_collapse\",\"universe\":{universe},\"classes\":{classes},\"simulated\":{simulated},\"golden\":{golden}}}"
-            ));
-        }
+        } => tag("fault_collapse")
+            .with("universe", universe)
+            .with("classes", classes)
+            .with("simulated", simulated)
+            .with("golden", golden),
         Event::FaultTriage {
             universe,
             masked,
             failed,
             simulated,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"fault_triage\",\"universe\":{universe},\"masked\":{masked},\"failed\":{failed},\"simulated\":{simulated}}}"
-            ));
-        }
+        } => tag("fault_triage")
+            .with("universe", universe)
+            .with("masked", masked)
+            .with("failed", failed)
+            .with("simulated", simulated),
         Event::ResilienceTrip {
             tier,
             from,
             to,
             failure_rate,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"resilience_trip\",\"tier\":\"{tier}\",\"from\":\"{from}\",\"to\":\"{to}\",\"failure_rate\":"
-            ));
-            push_json_f64(&mut s, failure_rate);
-            s.push('}');
-        }
+        } => tag("resilience_trip")
+            .with("tier", tier)
+            .with("from", from)
+            .with("to", to)
+            .with("failure_rate", num(failure_rate)),
         Event::Degraded {
             demanded,
             served,
             reason,
             error_bound,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"degraded\",\"demanded\":\"{demanded}\",\"served\":\"{served}\",\"reason\":\"{reason}\",\"error_bound\":"
-            ));
-            push_json_f64(&mut s, error_bound);
-            s.push('}');
-        }
+        } => tag("degraded")
+            .with("demanded", demanded)
+            .with("served", served)
+            .with("reason", reason)
+            .with("error_bound", num(error_bound)),
         Event::InferBatch {
             queries,
             cache_hits,
@@ -890,13 +828,15 @@ fn event_json(event: &Event) -> String {
             analytic,
             switch_level,
             circuit,
-        } => {
-            s.push_str(&format!(
-                "{{\"event\":\"infer_batch\",\"queries\":{queries},\"cache_hits\":{cache_hits},\"cache_misses\":{cache_misses},\"evictions\":{evictions},\"analytic\":{analytic},\"switch_level\":{switch_level},\"circuit\":{circuit}}}"
-            ));
-        }
+        } => tag("infer_batch")
+            .with("queries", queries)
+            .with("cache_hits", cache_hits)
+            .with("cache_misses", cache_misses)
+            .with("evictions", evictions)
+            .with("analytic", analytic)
+            .with("switch_level", switch_level)
+            .with("circuit", circuit),
     }
-    s
 }
 
 /// Schema-versioned JSONL event sink.
@@ -919,7 +859,7 @@ impl<W: Write> JsonlWriter<W> {
     /// Wraps `out` and writes the schema header line.
     pub fn new(out: W) -> Self {
         let mut w = JsonlWriter { out, error: None };
-        w.write_line(&format!("{{\"schema\":\"{TRACE_SCHEMA}\"}}"));
+        w.write_line(&Value::object().with("schema", TRACE_SCHEMA).to_compact());
         w
     }
 
@@ -953,8 +893,7 @@ impl<W: Write> JsonlWriter<W> {
 
 impl<W: Write> Observer for JsonlWriter<W> {
     fn event(&mut self, event: &Event) {
-        let line = event_json(event);
-        self.write_line(&line);
+        self.write_line(&event_json(event).to_compact());
     }
 }
 
@@ -1247,14 +1186,24 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], format!("{{\"schema\":\"{TRACE_SCHEMA}\"}}"));
         assert_eq!(lines.len(), 1 + sample_events().len());
-        // Every line is a JSON object with balanced braces and the
-        // advertised event tag.
+        // Every line parses as a JSON object: the header names the
+        // schema, every other line carries its event tag.
+        let header = crate::json::parse(lines[0]).unwrap();
+        assert_eq!(
+            header.get("schema").and_then(Value::as_str),
+            Some(TRACE_SCHEMA)
+        );
         for line in &lines[1..] {
             assert!(line.starts_with("{\"event\":\""), "{line}");
             assert!(line.ends_with('}'), "{line}");
             assert_eq!(
                 line.matches('{').count(),
                 line.matches('}').count(),
+                "{line}"
+            );
+            let event = crate::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert!(
+                event.get("event").and_then(Value::as_str).is_some(),
                 "{line}"
             );
         }
