@@ -1000,22 +1000,29 @@ fn bench(tech: &Technology, fast: bool) {
 }
 
 /// Structured-trace smoke run: replays the benchmarked 3×3 and 8×8
-/// switch-level adder transients through a fully instrumented [`Session`]
-/// (memory recorder + summary + JSONL writer fan-out), cross-checks the
-/// event-derived Newton counters against the solver's own end-of-analysis
-/// report, prints the aggregate tables and writes the schema-versioned
-/// trace `results/TRACE_mssim.jsonl`. Exits nonzero on any counter
-/// mismatch, so CI gates on telemetry staying truthful.
+/// switch-level adder transients and the circuit tier's served MOS 3×3
+/// adder (the `pwmcell` testbench's prepared circuit on the limited
+/// evaluator at [`LimitOpts::equilibrium`]) through a fully instrumented
+/// [`Session`] (memory recorder + summary + JSONL writer fan-out),
+/// cross-checks the event-derived Newton, factorization and device
+/// counters against the solver's own end-of-analysis report, prints the
+/// aggregate tables and writes the schema-versioned trace
+/// `results/TRACE_mssim.jsonl`. Exits nonzero on any counter mismatch,
+/// so CI gates on telemetry staying truthful.
 fn trace(tech: &Technology) {
     use bench::hotpath::switch_adder_circuit;
     use mssim::prelude::*;
     use mssim::telemetry::{Event, SolverCounters, TRACE_SCHEMA};
-    use pwmcell::AdderSpec;
+    use pwmcell::{AdderSpec, AdderTestbench};
 
     println!("\n== Structured trace — instrumented Session on the shipped adders ==");
     let dt = 10e-12;
     let steps = 2000usize;
-    let fixtures: [(&str, Circuit); 2] = [
+    let served = AdderTestbench::paper(tech)
+        .batch_runner(&[7, 7, 7], tech.frequency, tech.vdd, &SimQuality::fast())
+        .circuit(&[0.70, 0.80, 0.90])
+        .expect("served adder circuit builds");
+    let fixtures: [(&str, Circuit, Option<LimitOpts>); 3] = [
         (
             "tran_adder3x3",
             switch_adder_circuit(
@@ -1025,6 +1032,7 @@ fn trace(tech: &Technology) {
                 &[0.70, 0.80, 0.90],
             )
             .0,
+            None,
         ),
         (
             "tran_adder8x8",
@@ -1035,8 +1043,29 @@ fn trace(tech: &Technology) {
                 &[0.05, 0.20, 0.35, 0.50, 0.60, 0.75, 0.85, 0.95],
             )
             .0,
+            None,
+        ),
+        (
+            "tran_adder3x3_mos_served",
+            served,
+            Some(LimitOpts::equilibrium()),
         ),
     ];
+    // Event-derived counters and the matching SolverReport fields.
+    let checked = [
+        "newton.iterations",
+        "plan.factorizations",
+        "newton.device_evals",
+        "newton.latency_hits",
+    ];
+    let fields = |c: &SolverCounters| {
+        [
+            c.iterations,
+            c.factorizations,
+            c.device_evals,
+            c.latency_hits,
+        ]
+    };
 
     let jsonl = JsonlWriter::new(Vec::<u8>::new());
     let mut sink = Tee(MemoryRecorder::new(), Tee(Summary::new(), jsonl));
@@ -1044,14 +1073,17 @@ fn trace(tech: &Technology) {
         .use_initial_conditions()
         .record_every(16);
     let mut mismatches = 0usize;
-    for (name, ckt) in &fixtures {
-        let before = sink.0.counter_value("newton.iterations");
+    for (name, ckt, limits) in &fixtures {
+        let before = checked.map(|counter| sink.0.counter_value(counter));
         let events_before = sink.0.events().len();
-        Session::new(ckt)
+        let session = match limits {
+            Some(opts) => Session::new(ckt).with_limit_opts(*opts),
+            None => Session::new(ckt),
+        };
+        session
             .observe(&mut sink)
             .transient(&tran)
             .expect("transient converges");
-        let derived = sink.0.counter_value("newton.iterations") - before;
         // The solver's own accounting: sum of every SolverReport the
         // fixture emitted (the transient plus its nested DC operating
         // point), straight from `SolverStats`.
@@ -1071,14 +1103,16 @@ fn trace(tech: &Technology) {
                 limit_clamps: acc.limit_clamps + c.limit_clamps,
                 latency_hits: acc.latency_hits + c.latency_hits,
             });
-        let ok = derived == reported.iterations;
-        println!(
-            "{name}: newton.iterations from events = {derived}, from SolverStats = {} [{}]",
-            reported.iterations,
-            if ok { "ok" } else { "MISMATCH" }
-        );
-        if !ok {
-            mismatches += 1;
+        for ((counter, before), stat) in checked.iter().zip(before).zip(fields(&reported)) {
+            let derived = sink.0.counter_value(counter) - before;
+            let ok = derived == stat;
+            println!(
+                "{name}: {counter} from events = {derived}, from SolverStats = {stat} [{}]",
+                if ok { "ok" } else { "MISMATCH" }
+            );
+            if !ok {
+                mismatches += 1;
+            }
         }
         // SweepPoint-free single runs: also sanity-check the step count.
         let accepted = sink.0.counter_value("tran.steps_accepted");

@@ -7,7 +7,7 @@
 //! |---|---|---|---|
 //! | [`AnalyticEvaluator`] | paper Eq. 2 | ~ns | training, sanity |
 //! | [`SwitchLevelEvaluator`] | periodic-steady-state switch model | ~µs | training with hardware effects, Monte Carlo |
-//! | [`CircuitEvaluator`] | transistor-level transient ([`mssim`]) | ~s | reference measurements (Table II) |
+//! | [`CircuitEvaluator`] | transistor-level transient ([`mssim`], limited MOS evaluator) | ~70 ms at Table I with [`SimQuality::fast`] | reference measurements (Table II) |
 //!
 //! The tiers agree within a few per cent (verified by tests and the
 //! `xval` experiment); the differences *are* the hardware effects the
@@ -201,7 +201,10 @@ impl Evaluator for SwitchLevelEvaluator {
 }
 
 /// The transistor-level reference: builds the full Fig. 3 adder and runs
-/// an [`mssim`] transient for every evaluation. Slow but authoritative.
+/// an [`mssim`] transient for every evaluation — on the limited MOS
+/// evaluator at [`mssim::session::LimitOpts::equilibrium`], within 0.1 mV
+/// of exact device evaluation (see [`pwmcell::AdderBatchBench`]). The
+/// slowest tier, and the authoritative one.
 ///
 /// With [`CircuitEvaluator::with_rescue`], transient solver trouble is
 /// first handled by the solver's own rescue ladder; a run that still ends

@@ -266,16 +266,14 @@ impl Default for TierPolicy {
     }
 }
 
-/// Cache key: duty indices on the `resolution`-level grid plus the exact
-/// weight vector and producing tier. Weights are part of the key, so a
-/// weight mutation can never be served a stale entry — it simply misses.
+/// Cache key, packed into one allocation as `[tier, bits, duty indices…,
+/// weights…]`: the producing tier, the weight resolution, the duties on
+/// the `resolution`-level grid and the exact weight vector. A [`Query`]
+/// holds as many duties as weights, so the split is unambiguous. Weights
+/// are part of the key, so a weight mutation can never be served a stale
+/// entry — it simply misses.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    duties: Vec<u16>,
-    weights: Vec<u32>,
-    bits: u32,
-    tier: u8,
-}
+struct CacheKey(Box<[u32]>);
 
 /// Counter snapshot of a [`MemoCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -432,16 +430,18 @@ impl MemoCache {
 
     fn key(&self, query: &Query, tier: Tier) -> CacheKey {
         let top = (self.resolution - 1) as f64;
-        CacheKey {
-            duties: query
+        let weights = query.weights.as_slice();
+        let mut packed = Vec::with_capacity(2 + query.duties.len() + weights.len());
+        packed.push(tier.index() as u32);
+        packed.push(query.weights.bits());
+        packed.extend(
+            query
                 .duties
                 .iter()
-                .map(|d| (d.value() * top).round() as u16)
-                .collect(),
-            weights: query.weights.as_slice().to_vec(),
-            bits: query.weights.bits(),
-            tier: tier.index() as u8,
-        }
+                .map(|d| (d.value() * top).round() as u32),
+        );
+        packed.extend_from_slice(weights);
+        CacheKey(packed.into_boxed_slice())
     }
 
     fn shard_of(&self, key: &CacheKey) -> usize {

@@ -7,7 +7,7 @@
 
 use crate::analysis::dcop::{solve_dc_seeded, DcSolution};
 use crate::analysis::mna::MnaLayout;
-use crate::analysis::plan::{EngineSel, PlanMode, SolverEngine};
+use crate::analysis::plan::{DeviceEval, EngineSel, LimitOpts, PlanMode, SolverEngine};
 use crate::analysis::solution::Solution;
 use crate::elements::Element;
 use crate::error::Error;
@@ -157,14 +157,12 @@ pub(crate) fn dc_sweep_impl(
     mut sel: EngineSel,
     mut probe: Probe<'_>,
 ) -> Result<DcSweepResult, Error> {
-    // The latency bands shrink well below the transient defaults here: a
-    // sweep point is a *converged equilibrium* whose full frozen-device
+    // A sweep point is a *converged equilibrium* whose full frozen-device
     // error lands directly in the reported curve, with no subsequent step
-    // to damp it, so the sweep trades back most of the latency for
-    // accuracy. The sparse replay factorization still carries the speed.
-    if let crate::analysis::plan::DeviceEval::Limited(ref mut lopts) = sel.eval {
-        lopts.latency_reltol = 5e-3;
-        lopts.latency_abstol = 2.5e-4;
+    // to damp it, so the sweep always runs at the equilibrium bands and
+    // keeps its speed from the factorization caches and warm starts.
+    if let DeviceEval::Limited(ref mut lopts) = sel.eval {
+        *lopts = LimitOpts::equilibrium();
     }
     crate::lint::preflight(&circuit, "dc-sweep", crate::lint::LintContext::Dc)?;
     if !matches!(circuit.element(source), Element::VoltageSource { .. }) {

@@ -57,17 +57,38 @@ pub struct LimitOpts {
 }
 
 impl Default for LimitOpts {
+    /// The transient bands. The frozen linearisation error is
+    /// O(beta·band²); on short transients (a few hundred steps) the
+    /// channel conductances turn it into tens of µV of waveform
+    /// deviation, and the region-stability clip keeps the effective
+    /// window much tighter wherever a device approaches a region
+    /// boundary. Over long settles the error accumulates instead of
+    /// damping: settling the Table I 3×3 adder with every duty at 1.0,
+    /// these bands drift 7.6 mV from exact mode at 3.3 V / 500 MHz, and
+    /// at 1.0 V / 1 MHz the output settles 7.6 mV above the 1.0 V rail.
+    /// Analyses that report an equilibrium or a long-settled average use
+    /// [`LimitOpts::equilibrium`] instead.
     fn default() -> Self {
-        // The frozen linearisation error is O(beta·band²), which the
-        // channel conductances turn into tens-of-µV solution deviation at
-        // these bands — a few times under the limited-mode equivalence
-        // tolerance, and the region-stability clip keeps the effective
-        // window much tighter wherever a device approaches a region
-        // boundary. Equilibrium analyses that report the solution
-        // directly (DC sweeps) override these with far tighter bands.
         LimitOpts {
             latency_reltol: 1e-1,
             latency_abstol: 5e-3,
+        }
+    }
+}
+
+impl LimitOpts {
+    /// The equilibrium bands: 20× tighter relative and absolute bands,
+    /// for results whose frozen-device error would land directly in the
+    /// reported number — DC sweep points (converged equilibria with no
+    /// later step to damp the error) and cycle-averaged steady states
+    /// after a long settle (the `pwmcell` adder testbench). Measured on
+    /// the Table I 3×3 adder across 0.6–3.3 V × 1–500 MHz with duties
+    /// from all-0 to all-1: at most 0.021 mV from exact mode, with most
+    /// of the speed kept through the factorization caches.
+    pub fn equilibrium() -> Self {
+        LimitOpts {
+            latency_reltol: 5e-3,
+            latency_abstol: 2.5e-4,
         }
     }
 }

@@ -487,9 +487,12 @@ impl Transient {
     /// `limvds` heuristics and devices whose terminal voltages barely
     /// moved (operating region unchanged) reuse their previous
     /// linearisation, which keeps the factorization cache hot across
-    /// time steps. Results agree with the default exact mode to solver
-    /// tolerance (typically within microvolts) but are not bitwise
-    /// identical. Ignored on the reference solver.
+    /// time steps. Results are not bitwise identical to the default exact
+    /// mode: this flag runs the [`LimitOpts::default`] bands, which hold
+    /// short runs within tens of µV of exact mode but drift up to 7.6 mV
+    /// over long settles; long-settled averages should run through
+    /// [`Session::with_limit_opts`](crate::Session::with_limit_opts) with
+    /// [`LimitOpts::equilibrium`]. Ignored on the reference solver.
     pub fn with_device_limiting(mut self, on: bool) -> Self {
         self.limited = on;
         self

@@ -119,7 +119,7 @@ pub mod prelude {
     pub use crate::faults::{Fault, LabeledFault};
     pub use crate::lint::{lint, LintCode, LintConfig, LintReport, Severity};
     pub use crate::netlist::{Circuit, ElementId, NodeId};
-    pub use crate::session::Session;
+    pub use crate::session::{LimitOpts, Session};
     pub use crate::telemetry::{JsonlWriter, MemoryRecorder, Observer, Summary, Tee};
     pub use crate::trace::Trace;
     pub use crate::units::*;

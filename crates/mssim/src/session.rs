@@ -116,22 +116,27 @@ impl<'c, 'o> Session<'c, 'o> {
     /// Newton overshoot on large steps) and devices whose terminal
     /// voltages stayed inside a tolerance band with the operating region
     /// unchanged reuse their previous linearisation, keeping the
-    /// factorization cache hot. Results agree with the default exact mode
-    /// to solver tolerance (typically within microvolts) but are not
-    /// bitwise identical; circuits without MOSFETs are unaffected.
-    /// Ignored when the reference solver is selected.
+    /// factorization cache hot. Results are not bitwise identical to the
+    /// default exact mode. Transients run at the [`LimitOpts::default`]
+    /// bands, which hold short runs (hundreds of steps) within tens of µV
+    /// of exact mode but drift up to 7.6 mV over long settles (the
+    /// Table I adder settling towards a rail); use
+    /// [`with_limit_opts`](Self::with_limit_opts) with
+    /// [`LimitOpts::equilibrium`] for long-settled averages. DC sweeps
+    /// always run at the equilibrium bands. Circuits without MOSFETs are
+    /// unaffected. Ignored when the reference solver is selected.
     pub fn with_device_limiting(mut self, on: bool) -> Self {
         self.limited = on;
         self
     }
 
     /// [`with_device_limiting`](Self::with_device_limiting) with explicit
-    /// latency bands instead of the shipped defaults. Test and tuning
-    /// hook: the golden-equivalence and mutation tests use it to prove
-    /// the equivalence gate notices a broken (over-wide) latency check.
-    /// DC sweeps clamp the bands down to their own tighter defaults
-    /// regardless of what is passed here.
-    #[doc(hidden)]
+    /// latency bands instead of the transient defaults. The `pwmcell`
+    /// adder testbench runs its settling transients at
+    /// [`LimitOpts::equilibrium`] through this, staying within 0.1 mV of
+    /// exact mode across its operating envelope. DC sweeps replace the
+    /// bands with [`LimitOpts::equilibrium`] regardless of what is passed
+    /// here.
     pub fn with_limit_opts(mut self, opts: LimitOpts) -> Self {
         self.limited = true;
         self.limit_opts = Some(opts);

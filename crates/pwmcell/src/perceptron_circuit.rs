@@ -13,7 +13,7 @@ use mssim::prelude::*;
 use crate::adder::{AdderSpec, WeightedAdder};
 use crate::comparator::DiffComparator;
 use crate::tech::Technology;
-use crate::testbench::SimQuality;
+use crate::testbench::{AdderTestbench, SimQuality};
 
 /// Handles to a complete perceptron circuit.
 #[derive(Debug, Clone)]
@@ -128,6 +128,13 @@ impl PerceptronTestbench {
         self.spec.transistor_count() + DiffComparator::TRANSISTORS
     }
 
+    /// The settle plan `(dt, t_stop, measure_periods)` at supply `vdd`.
+    /// The adder output is the slowest node, so this is the adder
+    /// testbench's plan at the same supply and frequency.
+    fn plan(&self, vdd: Volts, quality: &SimQuality) -> (f64, f64, usize) {
+        AdderTestbench::new(&self.tech, self.spec).plan(self.tech.frequency, vdd, quality)
+    }
+
     /// Builds the full circuit, applies the PWM inputs, runs a transient
     /// at supply `vdd`, and reads the digital decision (comparator output
     /// averaged over the final period, thresholded at Vdd/2).
@@ -176,23 +183,13 @@ impl PerceptronTestbench {
             );
         }
 
-        // Settle the adder output (the slowest node) then sample.
-        let ron = 0.5 * (self.tech.ron_n().value() + self.tech.ron_p().value());
-        let units = self.spec.inputs as f64 * self.spec.max_weight() as f64;
-        let tau = (self.tech.rout.value() + ron) / units * self.tech.cout_adder.value();
-        let settle = ((quality.settle_time_constants * tau / period).ceil() as usize)
-            .max(quality.min_settle_periods);
-        let total = (settle + quality.measure_periods).min(quality.max_total_periods);
-        let result = Session::new(&ckt).transient(
-            &Transient::new(
-                period / quality.steps_per_period as f64,
-                total as f64 * period,
-            )
-            .use_initial_conditions(),
-        )?;
-        let v_out = result
-            .voltage(dut.output)
-            .steady_state_average(period, quality.measure_periods);
+        // Exact device evaluation: the limited evaluator fails Newton on
+        // the comparator at t = 0.4 ns with any latency bands, zero
+        // included.
+        let (dt, t_stop, win) = self.plan(vdd, quality);
+        let result =
+            Session::new(&ckt).transient(&Transient::new(dt, t_stop).use_initial_conditions())?;
+        let v_out = result.voltage(dut.output).steady_state_average(period, win);
         Ok(v_out > 0.5 * vdd.value())
     }
 }
@@ -273,6 +270,26 @@ mod tests {
         let v_low = analytic::adder_vout(2.5, &[0.30, 0.5, 0.5], &weights, 3);
         let v_high = analytic::adder_vout(2.5, &[0.70, 0.5, 0.5], &weights, 3);
         assert!(v_low < 1.25 && v_high > 1.25);
+    }
+
+    #[test]
+    fn classify_settles_on_the_adder_plan_at_reduced_supply() {
+        // Power elasticity runs the perceptron below nominal supply, where
+        // the cells are slower: the settle must follow the supply actually
+        // applied, exactly as the adder testbench plans it.
+        let tech = Technology::umc65_like();
+        let q = SimQuality::fast();
+        let tb = PerceptronTestbench::new(&tech, AdderSpec::paper_3x3(), 0.5);
+        let adder = AdderTestbench::paper(&tech);
+        let vdd = Volts(1.8);
+        let plan = tb.plan(vdd, &q);
+        assert_eq!(plan, adder.plan(tech.frequency, vdd, &q));
+        let (_, t_nominal, _) = adder.plan(tech.frequency, tech.vdd, &q);
+        assert!(
+            plan.1 > t_nominal,
+            "1.8 V settle {:e} s must exceed the nominal-supply settle {t_nominal:e} s",
+            plan.1
+        );
     }
 
     #[test]
