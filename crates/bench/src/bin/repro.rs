@@ -1002,9 +1002,10 @@ fn bench(tech: &Technology, fast: bool) {
 /// Structured-trace smoke run: replays the benchmarked 3×3 and 8×8
 /// switch-level adder transients and the circuit tier's served MOS 3×3
 /// adder (the `pwmcell` testbench's prepared circuit on the limited
-/// evaluator at [`LimitOpts::equilibrium`]) through a fully instrumented
-/// [`Session`] (memory recorder + summary + JSONL writer fan-out),
-/// cross-checks the event-derived Newton, factorization and device
+/// evaluator at
+/// [`LimitOpts::equilibrium`](mssim::session::LimitOpts::equilibrium))
+/// through a fully instrumented [`Session`](mssim::Session) (memory
+/// recorder + summary + JSONL writer fan-out), cross-checks the event-derived Newton, factorization and device
 /// counters against the solver's own end-of-analysis report, prints the
 /// aggregate tables and writes the schema-versioned trace
 /// `results/TRACE_mssim.jsonl`. Exits nonzero on any counter mismatch,
@@ -1434,7 +1435,8 @@ fn triage_table(which: &str, report: &pwm_perceptron::faults::TriageReport) {
 }
 
 /// Load harness for the batched inference engine: serves deterministic
-/// uniform and hot-set query streams through tiered [`InferenceEngine`]
+/// uniform and hot-set query streams through tiered
+/// [`InferenceEngine`](pwm_perceptron::infer::InferenceEngine)
 /// configurations, prints latency/throughput/cache metrics, merges the
 /// `serve` section into `results/BENCH_mssim.json` and gates the
 /// acceptance thresholds (≥10× naive circuit throughput, ≥90 % hot-set

@@ -265,25 +265,3 @@ fn noisy_batch_draws_are_order_invariant() {
         .collect();
     assert_eq!(&twice[..queries.len()], forward.as_slice());
 }
-
-/// The `#[deprecated]` raw-slice robustness wrappers still forward to
-/// computations that agree bitwise with the `Query`-based spelling.
-#[test]
-#[allow(deprecated)]
-fn deprecated_wrappers_stay_bitwise_faithful() {
-    let tech = Technology::umc65_like();
-    let spec = VariationSpec::typical_65nm();
-    let old = pwm_perceptron::robustness::adder_vout_monte_carlo(
-        &tech,
-        &[0.3, 0.6, 0.9],
-        &[1, 2, 4],
-        3,
-        &spec,
-        16,
-        99,
-    );
-    let query = Query::from_raw(&[0.3, 0.6, 0.9], &[1, 2, 4], 3).unwrap();
-    let new = switch_corner_monte_carlo(&tech, &query, &spec, 16, 99);
-    assert_eq!(old.mean, new.mean);
-    assert_eq!(old.std, new.std);
-}

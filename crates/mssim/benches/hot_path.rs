@@ -95,24 +95,22 @@ fn rc_ladder(stages: usize) -> Circuit {
 
 /// Times a fixed-step transient on both solver paths.
 fn bench_transient(c: &mut Criterion, group_name: &str, ckt: &Circuit, dt: f64, steps: usize) {
-    let tran = |reference: bool| {
-        Transient::new(dt, steps as f64 * dt)
-            .use_initial_conditions()
-            .record_every(64)
-            .with_reference_solver(reference)
-    };
+    let tran = Transient::new(dt, steps as f64 * dt)
+        .use_initial_conditions()
+        .record_every(64);
     let mut group = c.benchmark_group(group_name);
     group.throughput(Throughput::Elements(steps as u64));
     group.sample_size(10);
     group.bench_function("plan", |b| {
-        b.iter(|| {
-            Session::new(black_box(ckt))
-                .transient(&tran(false))
-                .unwrap()
-        })
+        b.iter(|| Session::new(black_box(ckt)).transient(&tran).unwrap())
     });
     group.bench_function("reference", |b| {
-        b.iter(|| Session::new(black_box(ckt)).transient(&tran(true)).unwrap())
+        b.iter(|| {
+            Session::new(black_box(ckt))
+                .with_reference_solver(true)
+                .transient(&tran)
+                .unwrap()
+        })
     });
     group.finish();
 }

@@ -97,29 +97,6 @@ impl Solution for NoiseResult {
     }
 }
 
-/// Computes the output-referred noise density at `output` across
-/// `frequencies`. All independent sources are AC-nulled (the circuit's
-/// own devices are the only noise sources).
-///
-/// # Errors
-///
-/// Propagates DC-operating-point and solver errors.
-///
-/// # Panics
-///
-/// Panics if `output` is the ground node.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Session::new(&circuit).noise(output, frequencies)` instead"
-)]
-pub fn noise_analysis(
-    circuit: &Circuit,
-    output: NodeId,
-    frequencies: &[f64],
-) -> Result<NoiseResult, Error> {
-    crate::session::Session::new(circuit).noise(output, frequencies)
-}
-
 pub(crate) fn noise_analysis_impl(
     circuit: &Circuit,
     output: NodeId,
@@ -127,7 +104,12 @@ pub(crate) fn noise_analysis_impl(
     sel: EngineSel,
     mut probe: Probe<'_>,
 ) -> Result<NoiseResult, Error> {
-    assert!(!output.is_ground(), "noise at ground is identically zero");
+    if output.is_ground() {
+        return Err(Error::InvalidParameter {
+            element: circuit.node_name(output).to_owned(),
+            reason: "noise output must not be ground, where noise is identically zero".into(),
+        });
+    }
     crate::lint::preflight(circuit, "noise", crate::lint::LintContext::Dc)?;
     probe.emit(Event::AnalysisStart { analysis: "noise" });
     let op = dc_operating_point_impl(circuit, sel, probe.reborrow())?;
@@ -245,6 +227,20 @@ mod tests {
         assert!(
             (got / expect - 1.0).abs() < 1e-6,
             "{got:.3e} vs {expect:.3e}"
+        );
+    }
+
+    /// Asking for the noise at ground is a typed error, not a panic.
+    #[test]
+    fn noise_at_ground_is_an_invalid_parameter() {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        ckt.vsource("V1", vin, Circuit::GND, Waveform::dc(0.0));
+        ckt.resistor("R1", vin, Circuit::GND, 1e3);
+        let got = Session::new(&ckt).noise(Circuit::GND, &[1.0]);
+        assert!(
+            matches!(got, Err(Error::InvalidParameter { .. })),
+            "{got:?}"
         );
     }
 

@@ -45,7 +45,7 @@ use super::mna::{self, MnaLayout, NewtonOpts, SolveContext};
 use super::mos_batch::{self, MosBatch};
 use crate::elements::{Element, MosParams};
 use crate::error::Error;
-use crate::linear::{DenseMatrix, LuFactors, SparseReplayLu};
+use crate::linear::{DenseMatrix, LuFactors};
 use crate::netlist::{Circuit, ElementId};
 
 pub use super::mos_batch::LimitOpts;
@@ -829,16 +829,16 @@ pub(crate) struct PlanSolver {
     /// Packed rhs replay program (see [`RhsProg`]): one entry per rhs
     /// contribution of the walk, skipping matrix-only ops entirely.
     rhs_prog: Vec<RhsProg>,
+    /// Factors of the last factored system: dense (`LuFactors::factor`)
+    /// on the exact path, whose factors must stay bitwise; replayed over
+    /// a frozen pivot sequence and recorded fill-in
+    /// (`LuFactors::refactor`) on the limited path.
     lu: LuFactors,
-    /// Structure-replay factorization engine of the limited path: frozen
-    /// pivot sequence + recorded fill-in replace the dense O(n³) sweep.
-    /// The exact path never touches it (its factors must stay bitwise).
-    slu: SparseReplayLu,
-    /// Structural nonzero pattern handed to `slu` (row-major u64 chunks)
-    /// and the base generation it was built against.
-    slu_pattern: Vec<u64>,
-    slu_pattern_gen: u64,
-    slu_pattern_valid: bool,
+    /// Structural nonzero pattern handed to `lu.refactor` (row-major u64
+    /// chunks) and the base generation it was built against.
+    lu_pattern: Vec<u64>,
+    lu_pattern_gen: u64,
+    lu_pattern_valid: bool,
     lu_valid: bool,
     lu_base_gen: u64,
     lu_iter_mat_gen: u64,
@@ -968,10 +968,9 @@ impl PlanSolver {
             dyn_all_mos,
             rhs_prog,
             lu: LuFactors::new(n),
-            slu: SparseReplayLu::new(n),
-            slu_pattern: Vec::new(),
-            slu_pattern_gen: 0,
-            slu_pattern_valid: false,
+            lu_pattern: Vec::new(),
+            lu_pattern_gen: 0,
+            lu_pattern_valid: false,
             lu_valid: false,
             lu_base_gen: 0,
             lu_iter_mat_gen: 0,
@@ -1247,15 +1246,16 @@ impl PlanSolver {
 }
 
 impl PlanSolver {
-    /// Rebuilds the structural nonzero pattern handed to the sparse
-    /// replay engine: base nonzeros, the diagonal, and every position an
-    /// iteration op can write (conditional MOSFET rows included). Base
-    /// *values* are constant within one base generation, so the scan of
-    /// its numeric nonzeros is structurally sound until the next rebase.
-    fn rebuild_slu_pattern(&mut self) {
+    /// Rebuilds the structural nonzero pattern handed to
+    /// `LuFactors::refactor`: base nonzeros, the diagonal, and every
+    /// position an iteration op can write (conditional MOSFET rows
+    /// included). Base *values* are constant within one base generation,
+    /// so the scan of its numeric nonzeros is structurally sound until
+    /// the next rebase.
+    fn rebuild_lu_pattern(&mut self) {
         let n = self.n;
         let chunks = n.div_ceil(64);
-        let mut pat = std::mem::take(&mut self.slu_pattern);
+        let mut pat = std::mem::take(&mut self.lu_pattern);
         pat.clear();
         pat.resize(n * chunks, 0u64);
         let set = |pat: &mut Vec<u64>, r: usize, c: usize| {
@@ -1292,51 +1292,56 @@ impl PlanSolver {
                 }
             }
         }
-        self.slu_pattern = pat;
-        self.slu.invalidate_structure();
-        self.slu_pattern_gen = self.base_gen;
-        self.slu_pattern_valid = true;
+        self.lu_pattern = pat;
+        self.lu.invalidate_structure();
+        self.lu_pattern_gen = self.base_gen;
+        self.lu_pattern_valid = true;
     }
 
-    /// Factors the currently recorded system, stamping the generation
-    /// identity so `fresh`/`lu_hit` checks see the new factors. The exact
-    /// path uses the dense partial-pivot engine (bitwise contract); the
-    /// limited path goes through the sparse replay engine.
+    /// Factors the currently recorded system and solves `self.rhs`
+    /// against it, stamping the generation identity so `fresh`/`lu_hit`
+    /// checks see the new factors. The exact path fuses the rhs into the
+    /// dense elimination sweep (one pass, as the reference assembler's
+    /// `solve_in_place` does); the limited path replays the recorded
+    /// elimination structure, with no bitwise contract to honour.
     fn factor_current(&mut self, gmin: f64) -> Result<(), Error> {
         self.lu_valid = false;
         let n = self.n;
-        if matches!(self.eval_mode, DeviceEval::Limited(_)) && self.mos.len() > 0 {
-            if !self.slu_pattern_valid || self.slu_pattern_gen != self.base_gen {
-                self.rebuild_slu_pattern();
-            }
-            let PlanSolver {
-                slu,
-                slu_pattern,
+        // Structure replay serves MOSFET circuits under limited
+        // evaluation only: switch conductances swing a dozen decades, for
+        // which a frozen pivot order is numerically fragile — and keeping
+        // MOSFET-free circuits on dense factors keeps them bitwise
+        // identical to the reference even in limited mode.
+        let replays = matches!(self.eval_mode, DeviceEval::Limited(_)) && self.mos.len() > 0;
+        if replays && (!self.lu_pattern_valid || self.lu_pattern_gen != self.base_gen) {
+            self.rebuild_lu_pattern();
+        }
+        let PlanSolver {
+            lu,
+            lu_pattern,
+            base,
+            plan,
+            iter_mat_ctx,
+            dyn_mat_vals,
+            rhs,
+            ..
+        } = self;
+        let fill = |buf: &mut [f64]| {
+            fill_mat(
+                buf,
                 base,
-                plan,
+                &plan.iter_ops,
                 iter_mat_ctx,
                 dyn_mat_vals,
-                ..
-            } = self;
-            slu.factor_with(n, slu_pattern, |buf| {
-                fill_mat(
-                    buf,
-                    base,
-                    &plan.iter_ops,
-                    iter_mat_ctx,
-                    dyn_mat_vals,
-                    gmin,
-                    n,
-                )
-            })?;
+                gmin,
+                n,
+            )
+        };
+        if replays {
+            lu.refactor(n, lu_pattern, fill)?;
+            lu.solve(rhs);
         } else {
-            let base = &self.base;
-            let iter_ops = &self.plan.iter_ops;
-            let ctx_vals = &self.iter_mat_ctx;
-            let dev_vals = &self.dyn_mat_vals;
-            self.lu.factor_with(n, |buf| {
-                fill_mat(buf, base, iter_ops, ctx_vals, dev_vals, gmin, n)
-            })?;
+            lu.factor(n, fill, Some(rhs))?;
         }
         self.lu_base_gen = self.base_gen;
         self.lu_iter_mat_gen = self.iter_mat_gen;
@@ -1350,7 +1355,7 @@ impl PlanSolver {
 /// Base copy + recorded matrix contributions, replayed in op order — the
 /// exact additions `mna::assemble` performs on the matrix. Demoted
 /// context-only atoms come from `ctx_vals`, device linearisations from
-/// `dev_vals`. A free function (not a method) so `LuFactors::factor_with`
+/// `dev_vals`. A free function (not a method) so `LuFactors::factor`
 /// can assemble straight into the factorization buffer while the solver's
 /// other fields stay borrowed.
 fn fill_mat(
@@ -1469,46 +1474,11 @@ impl PlanSolver {
             && self.lu_base_gen == self.base_gen
             && self.lu_iter_mat_gen == self.iter_mat_gen
             && self.lu_dyn_mat_gen == self.dyn_mat_gen;
-        // The sparse replay engine serves MOSFET circuits under limited
-        // evaluation only: switch conductances swing a dozen decades, for
-        // which a frozen pivot order is numerically fragile — and keeping
-        // MOSFET-free circuits on the dense engine keeps them bitwise
-        // identical to the reference even in limited mode.
-        let limited = matches!(self.eval_mode, DeviceEval::Limited(_)) && self.mos.len() > 0;
         self.write_rhs();
         if lu_hit {
-            if limited {
-                self.slu.solve(&mut self.rhs);
-            } else {
-                self.lu.solve(&mut self.rhs);
-            }
-        } else if limited {
-            // Limited path: replay the recorded elimination structure —
-            // no bitwise contract to honour, so the frozen-pivot sparse
-            // sweep replaces the dense O(n³) factorization.
-            self.factor_current(gmin)?;
-            self.slu.solve(&mut self.rhs);
+            self.lu.solve(&mut self.rhs);
         } else {
-            // Factor miss: fuse the rhs forward-elimination into the
-            // factorization sweep (one pass, as the reference assembler's
-            // solve_in_place does) while still storing the factors for the
-            // next hit. Bitwise identical to factor_with + solve.
-            self.lu_valid = false;
-            let n = self.n;
-            let base = &self.base;
-            let iter_ops = &self.plan.iter_ops;
-            let ctx_vals = &self.iter_mat_ctx;
-            let dev_vals = &self.dyn_mat_vals;
-            self.lu.factor_and_solve_with(
-                n,
-                |buf| fill_mat(buf, base, iter_ops, ctx_vals, dev_vals, gmin, n),
-                &mut self.rhs,
-            )?;
-            self.lu_base_gen = self.base_gen;
-            self.lu_iter_mat_gen = self.iter_mat_gen;
-            self.lu_dyn_mat_gen = self.dyn_mat_gen;
-            self.lu_valid = true;
-            self.stats.factorizations += 1;
+            self.factor_current(gmin)?;
         }
         self.stats.back_substitutions += 1;
         self.prev_base_gen = self.base_gen;

@@ -7,7 +7,7 @@
 
 use crate::analysis::dcop::dc_operating_point_impl;
 use crate::analysis::mna::{CapCompanion, IndCompanion, MnaLayout, NewtonOpts, SolveContext};
-use crate::analysis::plan::{DeviceEval, EngineSel, LimitOpts, PlanMode, SolverEngine};
+use crate::analysis::plan::{EngineSel, PlanMode, SolverEngine};
 use crate::analysis::solution::Solution;
 use crate::elements::Element;
 use crate::error::Error;
@@ -446,8 +446,6 @@ pub struct Transient {
     record_every: usize,
     max_iter: usize,
     adaptive: Option<AdaptiveConfig>,
-    reference: bool,
-    limited: bool,
 }
 
 impl Transient {
@@ -468,34 +466,7 @@ impl Transient {
             record_every: 1,
             max_iter: 200,
             adaptive: None,
-            reference: false,
-            limited: false,
         }
-    }
-
-    /// Runs on the naive per-iteration assembler instead of the compiled
-    /// stamp plan. Kept for golden-equivalence tests and as the benchmark
-    /// baseline; not part of the supported API.
-    #[doc(hidden)]
-    pub fn with_reference_solver(mut self, on: bool) -> Self {
-        self.reference = on;
-        self
-    }
-
-    /// Enables SPICE-style device limiting and latency on the compiled
-    /// stamp plan: MOSFET trial voltages are clamped by the `fetlim` /
-    /// `limvds` heuristics and devices whose terminal voltages barely
-    /// moved (operating region unchanged) reuse their previous
-    /// linearisation, which keeps the factorization cache hot across
-    /// time steps. Results are not bitwise identical to the default exact
-    /// mode: this flag runs the [`LimitOpts::default`] bands, which hold
-    /// short runs within tens of µV of exact mode but drift up to 7.6 mV
-    /// over long settles; long-settled averages should run through
-    /// [`Session::with_limit_opts`](crate::Session::with_limit_opts) with
-    /// [`LimitOpts::equilibrium`]. Ignored on the reference solver.
-    pub fn with_device_limiting(mut self, on: bool) -> Self {
-        self.limited = on;
-        self
     }
 
     /// Enables adaptive time-stepping: `dt` becomes the *maximum* step,
@@ -597,14 +568,6 @@ impl Transient {
         policy: Option<&RescuePolicy>,
         mut probe: Probe<'_>,
     ) -> Result<TransientOutcome, Error> {
-        let sel = EngineSel {
-            reference: sel.reference || self.reference,
-            eval: if self.limited {
-                DeviceEval::Limited(LimitOpts::default())
-            } else {
-                sel.eval
-            },
-        };
         let ctx = if self.uic {
             crate::lint::LintContext::TransientUic
         } else {

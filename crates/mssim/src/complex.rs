@@ -139,7 +139,7 @@ impl fmt::Display for Complex {
     }
 }
 
-/// Dense complex matrix with partial-pivoting LU, mirroring
+/// Dense complex matrix for the AC and noise phasor systems, mirroring
 /// [`crate::linear::DenseMatrix`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComplexMatrix {
@@ -188,7 +188,8 @@ impl ComplexMatrix {
         self.data[row * self.n + col]
     }
 
-    /// Solves `self · x = rhs` in place (destroys the matrix, `rhs`
+    /// Solves `self · x = rhs` in place with the shared partial-pivot
+    /// elimination of [`crate::linear`] (destroys the matrix, `rhs`
     /// becomes the solution).
     ///
     /// # Errors
@@ -199,63 +200,10 @@ impl ComplexMatrix {
     /// # Panics
     ///
     /// Panics if `rhs.len() != n`.
-    // Index loops mirror the textbook elimination; iterator forms obscure
-    // the pivot structure.
-    #[allow(clippy::needless_range_loop)]
     pub fn solve_in_place(&mut self, rhs: &mut [Complex]) -> Result<(), crate::Error> {
-        let n = self.n;
-        assert_eq!(rhs.len(), n);
-        if n == 0 {
-            return Ok(());
-        }
-        let scale = self
-            .data
-            .iter()
-            .fold(0.0f64, |m, z| m.max(z.abs()))
-            .max(1e-30);
-        let tol = scale * 1e-14;
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_mag = self.data[k * n + k].abs();
-            for r in (k + 1)..n {
-                let mag = self.data[r * n + k].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_mag < tol {
-                return Err(crate::Error::SingularMatrix { row: k });
-            }
-            if pivot_row != k {
-                for c in 0..n {
-                    self.data.swap(k * n + c, pivot_row * n + c);
-                }
-                rhs.swap(k, pivot_row);
-            }
-            let pivot = self.data[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.data[r * n + k] / pivot;
-                if factor == Complex::ZERO {
-                    continue;
-                }
-                self.data[r * n + k] = Complex::ZERO;
-                for c in (k + 1)..n {
-                    let sub = factor * self.data[k * n + c];
-                    self.data[r * n + c] = self.data[r * n + c] - sub;
-                }
-                let sub = factor * rhs[k];
-                rhs[r] = rhs[r] - sub;
-            }
-        }
-        for k in (0..n).rev() {
-            let mut sum = rhs[k];
-            for c in (k + 1)..n {
-                sum = sum - self.data[k * n + c] * rhs[c];
-            }
-            rhs[k] = sum / self.data[k * n + k];
-        }
-        Ok(())
+        assert_eq!(rhs.len(), self.n);
+        let mut swaps = vec![0; self.n];
+        crate::linear::factor_in_place(self.n, &mut self.data, &mut swaps, Some(rhs)).map(drop)
     }
 }
 

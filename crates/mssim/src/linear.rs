@@ -1,10 +1,15 @@
 //! Dense linear algebra: the LU solver behind every Newton iteration.
 //!
 //! The paper's circuits have at most a few tens of nodes, so a dense
-//! row-major matrix with partial-pivoting Gaussian elimination is both the
-//! simplest and the fastest appropriate solver — no sparse machinery, no
-//! external dependencies.
+//! row-major matrix with partial-pivoting Gaussian elimination is the
+//! simplest appropriate solver — no external dependencies. One
+//! elimination kernel, generic over the scalar, serves [`LuFactors`] and
+//! the complex AC/noise solves; [`DenseMatrix::solve_in_place`] keeps its
+//! own copy as the reference assembler's independent oracle.
 
+use std::ops::{Div, Mul, Sub};
+
+use crate::complex::Complex;
 use crate::error::Error;
 
 /// A dense square matrix in row-major storage.
@@ -165,25 +170,176 @@ impl DenseMatrix {
     }
 }
 
-/// A reusable LU factorization (partial pivoting) of a [`DenseMatrix`].
+/// Scalar field of the shared elimination kernel: `f64` for the Newton
+/// systems, [`Complex`] for the AC and noise phasor systems.
+pub(crate) trait Scalar:
+    Copy + PartialEq + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+{
+    /// The additive identity.
+    const ZERO: Self;
+    /// Magnitude used for pivot selection and the singularity threshold.
+    fn magnitude(self) -> f64;
+}
+
+impl Scalar for f64 {
+    const ZERO: f64 = 0.0;
+    fn magnitude(self) -> f64 {
+        self.abs()
+    }
+}
+
+impl Scalar for Complex {
+    const ZERO: Complex = Complex::ZERO;
+    fn magnitude(self) -> f64 {
+        self.abs()
+    }
+}
+
+/// The partial-pivot elimination behind every factorization except the
+/// [`DenseMatrix::solve_in_place`] oracle.
 ///
-/// [`LuFactors::factor_from`] performs exactly the elimination of
-/// [`DenseMatrix::solve_in_place`], but keeps the elimination multipliers
-/// (in the strict lower triangle) and the row-exchange sequence, so any
-/// number of right-hand sides can later be solved in O(n²) by
-/// [`LuFactors::solve`] — with results **bitwise identical** to a fresh
-/// `solve_in_place` on the same matrix. The solver hot path leans on that
-/// guarantee: reusing a factorization for an unchanged Jacobian cannot
-/// perturb a waveform by even one ulp.
+/// Factors the row-major `n × n` matrix `a` in place — `U` in the upper
+/// triangle (diagonal included), the elimination multipliers in the
+/// strict lower triangle — and records in `swaps[k]` the row exchanged
+/// with row `k` at stage `k` (`k` itself when none). With `rhs`, the
+/// forward elimination runs in the same sweep and the back-substitution
+/// follows, leaving the solution in `rhs`. Every operation happens in
+/// `solve_in_place`'s order, so on `f64` both agree bit for bit.
+///
+/// Returns the pivot acceptance threshold, `1e-14` times the largest
+/// initial magnitude.
+///
+/// # Errors
+///
+/// Returns [`Error::SingularMatrix`] under exactly the same condition
+/// (and at the same row) as `solve_in_place`; `a` and `rhs` are left
+/// partially eliminated in that case.
+// Index loops mirror the textbook elimination; iterator forms obscure
+// the pivot structure.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn factor_in_place<T: Scalar>(
+    n: usize,
+    a: &mut [T],
+    swaps: &mut [usize],
+    mut rhs: Option<&mut [T]>,
+) -> Result<f64, Error> {
+    let scale = a
+        .iter()
+        .fold(0.0f64, |m, v| m.max(v.magnitude()))
+        .max(1e-30);
+    let tol = scale * 1e-14;
+    for k in 0..n {
+        let mut pivot_row = k;
+        let mut pivot_mag = a[k * n + k].magnitude();
+        for r in (k + 1)..n {
+            let mag = a[r * n + k].magnitude();
+            if mag > pivot_mag {
+                pivot_mag = mag;
+                pivot_row = r;
+            }
+        }
+        if pivot_mag < tol {
+            return Err(Error::SingularMatrix { row: k });
+        }
+        swaps[k] = pivot_row;
+        if pivot_row != k {
+            for c in 0..n {
+                a.swap(k * n + c, pivot_row * n + c);
+            }
+            if let Some(rhs) = rhs.as_deref_mut() {
+                rhs.swap(k, pivot_row);
+            }
+        }
+        let pivot = a[k * n + k];
+        for r in (k + 1)..n {
+            let factor = a[r * n + k] / pivot;
+            if factor == T::ZERO {
+                // A multiplier that underflows to zero must replay as a
+                // skip, exactly like solve_in_place's `continue`.
+                a[r * n + k] = T::ZERO;
+                continue;
+            }
+            a[r * n + k] = factor;
+            for c in (k + 1)..n {
+                a[r * n + c] = a[r * n + c] - factor * a[k * n + c];
+            }
+            if let Some(rhs) = rhs.as_deref_mut() {
+                rhs[r] = rhs[r] - factor * rhs[k];
+            }
+        }
+    }
+    if let Some(rhs) = rhs {
+        back_substitute(n, a, rhs);
+    }
+    Ok(tol)
+}
+
+/// Solves `U·x = rhs` in place against the upper triangle of the factors
+/// `a` left by [`factor_in_place`].
+#[allow(clippy::needless_range_loop)]
+fn back_substitute<T: Scalar>(n: usize, a: &[T], rhs: &mut [T]) {
+    for k in (0..n).rev() {
+        let mut sum = rhs[k];
+        for c in (k + 1)..n {
+            sum = sum - a[k * n + c] * rhs[c];
+        }
+        rhs[k] = sum / a[k * n + k];
+    }
+}
+
+/// A reusable LU factorization (partial pivoting) of an `n × n` system,
+/// with two ways in and one way out:
+///
+/// - [`LuFactors::factor`] runs the shared dense elimination. Its factors
+///   solve **bitwise identically** to a fresh
+///   [`DenseMatrix::solve_in_place`] on the same matrix, so reusing them
+///   for an unchanged Jacobian cannot perturb a waveform by even one ulp.
+///   A right-hand side passed along is eliminated in the same sweep.
+/// - [`LuFactors::refactor`] freezes the pivot sequence and, from a
+///   caller-supplied structural pattern, the fill-in structure of the
+///   factors on its first call (a dense factorization; also the first
+///   call after a dense `factor` or [`LuFactors::invalidate_structure`]),
+///   then *replays* that elimination touching only structural positions. On a sparse
+///   MNA system this cuts the O(n³) sweep to roughly the factor's
+///   nonzero count. Results agree with the dense path to rounding, not
+///   bitwise: the frozen pivot order can differ from what fresh partial
+///   pivoting would choose. A replayed pivot whose magnitude falls under
+///   the recorded threshold triggers a transparent fallback: the matrix
+///   is refilled, factored densely and the structure re-recorded.
+/// - [`LuFactors::solve`] back-substitutes any number of right-hand
+///   sides in O(n²), walking the packed structure if and only if the
+///   current factors came from `refactor`.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
     n: usize,
     /// Row-major storage: upper triangle (diagonal included) holds `U`,
-    /// strict lower triangle holds the elimination multipliers.
+    /// strict lower triangle holds the elimination multipliers. After a
+    /// replay only structural positions are meaningful (the rest stay
+    /// 0.0 from the fill).
     lu: Vec<f64>,
     /// `swaps[k]` is the row exchanged with row `k` at elimination stage
     /// `k` (`k` itself when no exchange happened).
     swaps: Vec<usize>,
+    /// True when the current factors came from `refactor`: the structure
+    /// below is recorded for the current pivot sequence and `solve` walks
+    /// its packed copies.
+    structured: bool,
+    /// Pivot acceptance threshold recorded by the structuring pass.
+    tol: f64,
+    /// Stage-`k` multiplier rows (`r > k` with structural `(r, k)`).
+    mrows: Vec<u32>,
+    mrow_ptr: Vec<usize>,
+    /// Stage-`k` update columns (`c > k` with structural `(k, c)`).
+    ucols: Vec<u32>,
+    ucol_ptr: Vec<usize>,
+    /// Reciprocals of the U diagonal, so the packed back-substitution
+    /// multiplies instead of divides (no bitwise contract on this path).
+    inv_diag: Vec<f64>,
+    /// Multiplier values aligned with `mrows` and U values aligned with
+    /// `ucols`: the packed triangular solves walk these contiguous copies
+    /// instead of striding through the dense buffer.
+    mvals: Vec<f64>,
+    uvals: Vec<f64>,
 }
 
 impl LuFactors {
@@ -193,6 +349,15 @@ impl LuFactors {
             n,
             lu: vec![0.0; n * n],
             swaps: vec![0; n],
+            structured: false,
+            tol: 0.0,
+            mrows: Vec::new(),
+            mrow_ptr: Vec::new(),
+            ucols: Vec::new(),
+            ucol_ptr: Vec::new(),
+            inv_diag: vec![0.0; n],
+            mvals: Vec::new(),
+            uvals: Vec::new(),
         }
     }
 
@@ -201,291 +366,68 @@ impl LuFactors {
         self.n
     }
 
-    /// Factors `mat` (which is left untouched), replacing any previously
-    /// stored factorization.
+    /// Factors `mat` (which is left untouched) with [`LuFactors::factor`].
     ///
     /// # Errors
     ///
     /// Returns [`Error::SingularMatrix`] under exactly the same condition
     /// (and at the same row) as [`DenseMatrix::solve_in_place`].
     pub fn factor_from(&mut self, mat: &DenseMatrix) -> Result<(), Error> {
-        self.factor_with(mat.n, |lu| lu.copy_from_slice(&mat.data))
+        self.factor(mat.n, |lu| lu.copy_from_slice(&mat.data), None)
     }
 
     /// Factors an `n × n` matrix assembled directly into the internal
-    /// buffer by `fill` (which receives it zero-initialised-or-stale and
-    /// must overwrite all `n²` entries). Skips the matrix copy that
-    /// [`LuFactors::factor_from`] pays, for callers that would otherwise
-    /// stage the matrix in a scratch buffer only to hand it over.
+    /// buffer by `fill` (which receives it stale and must overwrite all
+    /// `n²` entries), replacing any stored factorization and dropping any
+    /// recorded replay structure.
+    ///
+    /// With `rhs`, its forward elimination is fused into the sweep (as
+    /// [`DenseMatrix::solve_in_place`] does) and `rhs` is left holding
+    /// the solution — bitwise identical to `factor` followed by
+    /// [`LuFactors::solve`], since the same multipliers hit `rhs` in the
+    /// same order. A Newton iteration that must refactor thus pays no
+    /// separate permutation-replay pass.
     ///
     /// # Errors
     ///
     /// Returns [`Error::SingularMatrix`] under exactly the same condition
     /// (and at the same row) as [`DenseMatrix::solve_in_place`].
-    // Index loops mirror solve_in_place; iterator forms obscure the pivot
-    // structure.
-    #[allow(clippy::needless_range_loop)]
-    pub fn factor_with(&mut self, n: usize, fill: impl FnOnce(&mut [f64])) -> Result<(), Error> {
-        self.n = n;
-        self.lu.resize(n * n, 0.0);
-        fill(&mut self.lu);
-        self.swaps.resize(n, 0);
-        if n == 0 {
-            return Ok(());
-        }
-        let scale = self
-            .lu
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(1e-30);
-        let tol = scale * 1e-14;
-
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_mag = self.lu[k * n + k].abs();
-            for r in (k + 1)..n {
-                let mag = self.lu[r * n + k].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_mag < tol {
-                return Err(Error::SingularMatrix { row: k });
-            }
-            self.swaps[k] = pivot_row;
-            if pivot_row != k {
-                for c in 0..n {
-                    self.lu.swap(k * n + c, pivot_row * n + c);
-                }
-            }
-            let pivot = self.lu[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.lu[r * n + k] / pivot;
-                if factor == 0.0 {
-                    // A multiplier that underflows to zero must replay as a
-                    // skip, exactly like solve_in_place's `continue`.
-                    self.lu[r * n + k] = 0.0;
-                    continue;
-                }
-                self.lu[r * n + k] = factor;
-                for c in (k + 1)..n {
-                    self.lu[r * n + c] -= factor * self.lu[k * n + c];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Factors like [`LuFactors::factor_with`] while eliminating `rhs` in
-    /// the same sweep, then back-substitutes — leaving `rhs` holding the
-    /// solution and the factorization stored for later [`LuFactors::solve`]
-    /// calls.
-    ///
-    /// This is the factor-miss fast path: it fuses the O(n²) forward
-    /// substitution into the elimination exactly as
-    /// [`DenseMatrix::solve_in_place`] does (interleaved row swaps and
-    /// multiplier updates), so a Newton iteration that must refactor pays
-    /// no separate permutation-replay pass. The interleaved updates are
-    /// bitwise identical to `factor_with` + [`LuFactors::solve`] — the
-    /// same multipliers hit `rhs` in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SingularMatrix`] under exactly the same condition
-    /// (and at the same row) as [`DenseMatrix::solve_in_place`]; `rhs` is
-    /// left partially eliminated in that case.
     ///
     /// # Panics
     ///
-    /// Panics if `rhs.len() != n`.
-    #[allow(clippy::needless_range_loop)]
-    pub fn factor_and_solve_with(
+    /// Panics if `rhs` is given and `rhs.len() != n`.
+    pub fn factor(
         &mut self,
         n: usize,
         fill: impl FnOnce(&mut [f64]),
-        rhs: &mut [f64],
+        rhs: Option<&mut [f64]>,
     ) -> Result<(), Error> {
-        assert_eq!(rhs.len(), n, "rhs length must equal matrix dimension");
+        if let Some(rhs) = &rhs {
+            assert_eq!(rhs.len(), n, "rhs length must equal matrix dimension");
+        }
+        self.structured = false;
         self.n = n;
         self.lu.resize(n * n, 0.0);
         fill(&mut self.lu);
         self.swaps.resize(n, 0);
-        if n == 0 {
-            return Ok(());
-        }
-        let scale = self
-            .lu
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(1e-30);
-        let tol = scale * 1e-14;
-
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_mag = self.lu[k * n + k].abs();
-            for r in (k + 1)..n {
-                let mag = self.lu[r * n + k].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_mag < tol {
-                return Err(Error::SingularMatrix { row: k });
-            }
-            self.swaps[k] = pivot_row;
-            if pivot_row != k {
-                for c in 0..n {
-                    self.lu.swap(k * n + c, pivot_row * n + c);
-                }
-                rhs.swap(k, pivot_row);
-            }
-            let pivot = self.lu[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.lu[r * n + k] / pivot;
-                if factor == 0.0 {
-                    // A multiplier that underflows to zero must replay as a
-                    // skip, exactly like solve_in_place's `continue`.
-                    self.lu[r * n + k] = 0.0;
-                    continue;
-                }
-                self.lu[r * n + k] = factor;
-                for c in (k + 1)..n {
-                    self.lu[r * n + c] -= factor * self.lu[k * n + c];
-                }
-                rhs[r] -= factor * rhs[k];
-            }
-        }
-        for k in (0..n).rev() {
-            let mut sum = rhs[k];
-            for c in (k + 1)..n {
-                sum -= self.lu[k * n + c] * rhs[c];
-            }
-            rhs[k] = sum / self.lu[k * n + k];
-        }
-        Ok(())
-    }
-
-    /// Solves `A·x = rhs` in place for the matrix `A` last passed to
-    /// [`LuFactors::factor_from`], replaying the stored row exchanges and
-    /// multipliers. Bitwise identical to `A.solve_in_place(rhs)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rhs.len()` does not match the factored dimension.
-    #[allow(clippy::needless_range_loop)]
-    pub fn solve(&self, rhs: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(rhs.len(), n, "rhs length must equal matrix dimension");
-        // Apply the whole pivot permutation first: factor_from swaps stored
-        // multiplier columns on later pivots (so L lives in final row
-        // positions), which makes "permute, then substitute" the replay that
-        // matches solve_in_place's interleaved updates bit for bit.
-        for k in 0..n {
-            let pivot_row = self.swaps[k];
-            if pivot_row != k {
-                rhs.swap(k, pivot_row);
-            }
-        }
-        for k in 0..n {
-            for r in (k + 1)..n {
-                let factor = self.lu[r * n + k];
-                if factor == 0.0 {
-                    continue;
-                }
-                rhs[r] -= factor * rhs[k];
-            }
-        }
-        for k in (0..n).rev() {
-            let mut sum = rhs[k];
-            for c in (k + 1)..n {
-                sum -= self.lu[k * n + c] * rhs[c];
-            }
-            rhs[k] = sum / self.lu[k * n + k];
-        }
-    }
-}
-
-/// LU factorization over a frozen pivot sequence and structural pattern.
-///
-/// The first factorization runs the same dense partial-pivot elimination
-/// as [`LuFactors`], then records the pivot sequence and — from a
-/// caller-supplied structural pattern — the fill-in structure of the
-/// factors. Subsequent factorizations *replay* that elimination touching
-/// only structural positions, which on a sparse MNA system cuts the
-/// O(n³) sweep to roughly the factor's nonzero count. Triangular solves
-/// walk the same recorded structure.
-///
-/// The replay performs the same arithmetic as the dense elimination on
-/// every structural position; skipped positions are structurally zero,
-/// so results agree to rounding (not bitwise: the frozen pivot order can
-/// differ from what fresh partial pivoting would choose). A replayed
-/// pivot whose magnitude falls under the recorded threshold triggers a
-/// transparent fallback: the matrix is refilled, factored densely with
-/// fresh pivoting, and the structure re-recorded.
-#[derive(Debug, Clone)]
-pub struct SparseReplayLu {
-    n: usize,
-    /// Dense row-major storage; only structural positions are meaningful
-    /// after a replayed factorization (the rest stay 0.0 from `fill`).
-    lu: Vec<f64>,
-    swaps: Vec<usize>,
-    /// Stage-`k` multiplier rows (`r > k` with structural `(r, k)`).
-    mrows: Vec<u32>,
-    mrow_ptr: Vec<usize>,
-    /// Stage-`k` update columns (`c > k` with structural `(k, c)`).
-    ucols: Vec<u32>,
-    ucol_ptr: Vec<usize>,
-    /// Reciprocals of the U diagonal, so the back-substitution multiplies
-    /// instead of divides (no bitwise contract on this engine).
-    inv_diag: Vec<f64>,
-    /// Multiplier values aligned with `mrows` and U values aligned with
-    /// `ucols`: the triangular solves walk these contiguous copies instead
-    /// of striding through the dense buffer.
-    mvals: Vec<f64>,
-    uvals: Vec<f64>,
-    structured: bool,
-    /// Pivot acceptance threshold recorded by the structuring pass.
-    tol: f64,
-}
-
-impl SparseReplayLu {
-    /// An empty holder for `n × n` systems.
-    pub fn new(n: usize) -> Self {
-        SparseReplayLu {
-            n,
-            lu: vec![0.0; n * n],
-            swaps: vec![0; n],
-            mrows: Vec::new(),
-            mrow_ptr: Vec::new(),
-            ucols: Vec::new(),
-            ucol_ptr: Vec::new(),
-            inv_diag: vec![0.0; n],
-            mvals: Vec::new(),
-            uvals: Vec::new(),
-            structured: false,
-            tol: 0.0,
-        }
-    }
-
-    /// Drops the recorded structure (pattern or pivot sequence no longer
-    /// trustworthy — e.g. the base matrix was rebuilt).
-    pub fn invalidate_structure(&mut self) {
-        self.structured = false;
+        factor_in_place(n, &mut self.lu, &mut self.swaps, rhs).map(drop)
     }
 
     /// Factors an `n × n` matrix assembled into the internal buffer by
-    /// `fill`. `pattern` is the structural nonzero pattern of the
+    /// `fill`, replaying the recorded structure when there is one (see
+    /// the type docs). `pattern` is the structural nonzero pattern of the
     /// assembled matrix, row-major in `ceil(n/64)` `u64` chunks per row;
     /// every position `fill` can make nonzero must be set (a superset is
-    /// fine — structurally-present numeric zeros replay as no-ops).
+    /// fine — structurally-present numeric zeros replay as no-ops). The
+    /// pattern is read only when the structure is recorded, so a caller
+    /// whose pattern changes calls [`LuFactors::invalidate_structure`]
+    /// first.
     ///
     /// # Errors
     ///
     /// Returns [`Error::SingularMatrix`] when even a fresh dense
     /// factorization finds no acceptable pivot.
-    pub fn factor_with(
+    pub fn refactor(
         &mut self,
         n: usize,
         pattern: &[u64],
@@ -499,19 +441,24 @@ impl SparseReplayLu {
             return Ok(());
         }
         if self.structured {
-            match self.replay() {
-                Ok(()) => return Ok(()),
-                Err(_) => {
-                    // Frozen pivot went bad on the new values: refill (the
-                    // buffer is partially eliminated) and restructure.
-                    self.structured = false;
-                    fill(&mut self.lu);
-                }
+            if self.replay().is_ok() {
+                return Ok(());
             }
+            // Frozen pivot went bad on the new values: refill (the buffer
+            // is partially eliminated) and restructure.
+            self.structured = false;
+            fill(&mut self.lu);
         }
-        self.dense_factor()?;
+        self.tol = factor_in_place(n, &mut self.lu, &mut self.swaps, None)?;
         self.record_structure(pattern);
         Ok(())
+    }
+
+    /// Drops the recorded replay structure (pattern or pivot sequence no
+    /// longer trustworthy — e.g. the base matrix was rebuilt), so the
+    /// next [`LuFactors::refactor`] factors densely and records afresh.
+    pub fn invalidate_structure(&mut self) {
+        self.structured = false;
     }
 
     /// Replays the recorded elimination on the freshly filled buffer.
@@ -549,52 +496,6 @@ impl SparseReplayLu {
                 self.lu[r * n + k] = factor;
                 for j in self.ucol_ptr[k]..self.ucol_ptr[k + 1] {
                     let c = self.ucols[j] as usize;
-                    self.lu[r * n + c] -= factor * self.lu[k * n + c];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Fresh dense partial-pivot factorization (same algorithm and pivot
-    /// acceptance as [`LuFactors::factor_with`]), recording the swaps.
-    #[allow(clippy::needless_range_loop)] // mirrors LuFactors; pivot structure
-    fn dense_factor(&mut self) -> Result<(), Error> {
-        let n = self.n;
-        let scale = self
-            .lu
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(1e-30);
-        self.tol = scale * 1e-14;
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_mag = self.lu[k * n + k].abs();
-            for r in (k + 1)..n {
-                let mag = self.lu[r * n + k].abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_row = r;
-                }
-            }
-            if pivot_mag < self.tol {
-                return Err(Error::SingularMatrix { row: k });
-            }
-            self.swaps[k] = pivot_row;
-            if pivot_row != k {
-                for c in 0..n {
-                    self.lu.swap(k * n + c, pivot_row * n + c);
-                }
-            }
-            let pivot = self.lu[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.lu[r * n + k] / pivot;
-                if factor == 0.0 {
-                    self.lu[r * n + k] = 0.0;
-                    continue;
-                }
-                self.lu[r * n + k] = factor;
-                for c in (k + 1)..n {
                     self.lu[r * n + c] -= factor * self.lu[k * n + c];
                 }
             }
@@ -667,23 +568,42 @@ impl SparseReplayLu {
         self.structured = true;
     }
 
-    /// Solves `A·x = rhs` in place against the last factorization,
-    /// walking only the recorded structure. Matches [`LuFactors::solve`]
-    /// on every structural position.
+    /// Solves `A·x = rhs` in place for the matrix `A` last factored,
+    /// replaying the stored row exchanges and multipliers. After
+    /// [`LuFactors::factor`] this is bitwise identical to
+    /// `A.solve_in_place(rhs)`; after [`LuFactors::refactor`] it walks
+    /// only the recorded structure.
     ///
     /// # Panics
     ///
-    /// Panics if `rhs.len()` does not match the factored dimension or no
-    /// factorization has been recorded.
+    /// Panics if `rhs.len()` does not match the factored dimension.
+    #[allow(clippy::needless_range_loop)]
     pub fn solve(&self, rhs: &mut [f64]) {
         let n = self.n;
         assert_eq!(rhs.len(), n, "rhs length must equal matrix dimension");
-        assert!(self.structured, "solve called before factor_with");
+        // Apply the whole pivot permutation first: the elimination swaps
+        // stored multiplier columns on later pivots (so L lives in final
+        // row positions), which makes "permute, then substitute" the
+        // replay that matches solve_in_place's interleaved updates bit
+        // for bit.
         for k in 0..n {
-            let pr = self.swaps[k];
-            if pr != k {
-                rhs.swap(k, pr);
+            let pivot_row = self.swaps[k];
+            if pivot_row != k {
+                rhs.swap(k, pivot_row);
             }
+        }
+        if !self.structured {
+            for k in 0..n {
+                for r in (k + 1)..n {
+                    let factor = self.lu[r * n + k];
+                    if factor == 0.0 {
+                        continue;
+                    }
+                    rhs[r] -= factor * rhs[k];
+                }
+            }
+            back_substitute(n, &self.lu, rhs);
+            return;
         }
         for k in 0..n {
             let xk = rhs[k];
@@ -837,8 +757,32 @@ mod tests {
             let mut replayed = rhs0.clone();
             lu.solve(&mut replayed);
 
-            for (a, b) in direct.iter().zip(&replayed) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n={n} seed={seed}: {a} vs {b}");
+            // The fused path: rhs eliminated in the factor sweep itself.
+            let fill = |buf: &mut [f64]| buf.copy_from_slice(m.as_slice());
+            let mut fused = rhs0.clone();
+            lu.factor(n, fill, Some(&mut fused)).unwrap();
+
+            // refactor → factor: once replayed factors are replaced by a
+            // dense factorization, the solve must be bitwise again.
+            let full = vec![u64::MAX; n * n.div_ceil(64)];
+            lu.refactor(n, &full, fill).unwrap();
+            lu.refactor(n, &full, fill).unwrap();
+            lu.factor(n, fill, None).unwrap();
+            let mut after_replay = rhs0.clone();
+            lu.solve(&mut after_replay);
+
+            for (path, got) in [
+                ("solve", &replayed),
+                ("fused", &fused),
+                ("refactor→factor", &after_replay),
+            ] {
+                for (a, b) in direct.iter().zip(got) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{path} n={n} seed={seed}: {a} vs {b}"
+                    );
+                }
             }
         }
     }
@@ -896,10 +840,10 @@ mod tests {
         lu.solve(&mut rhs);
     }
 
-    // ------------------------------------------- SparseReplayLu
+    // ------------------------------------------- replayed factorizations
 
     /// Row-major bitmask pattern of `m`'s nonzeros, `ceil(n/64)` words
-    /// per row (the format `SparseReplayLu::factor_with` expects).
+    /// per row (the format `LuFactors::refactor` expects).
     fn pattern_of(m: &DenseMatrix) -> Vec<u64> {
         let n = m.dim();
         let words = n.div_ceil(64);
@@ -939,8 +883,8 @@ mod tests {
             let mut direct = rhs0.clone();
             m.clone().solve_in_place(&mut direct).unwrap();
 
-            let mut slu = SparseReplayLu::new(n);
-            slu.factor_with(n, &pattern_of(&m), |buf| buf.copy_from_slice(m.as_slice()))
+            let mut slu = LuFactors::new(n);
+            slu.refactor(n, &pattern_of(&m), |buf| buf.copy_from_slice(m.as_slice()))
                 .unwrap();
             let mut replayed = rhs0.clone();
             slu.solve(&mut replayed);
@@ -959,15 +903,15 @@ mod tests {
         let n = 12;
         let m = sparse_system(n, 53);
         let pat = pattern_of(&m);
-        let mut slu = SparseReplayLu::new(n);
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
+        let mut slu = LuFactors::new(n);
+        slu.refactor(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
             .unwrap();
         let mut a = vec![1.0; n];
         slu.solve(&mut a);
 
         // Same values again: the replayed factorization must reproduce
         // the recorded one bitwise (same swaps, same arithmetic).
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
+        slu.refactor(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
             .unwrap();
         let mut b = vec![1.0; n];
         slu.solve(&mut b);
@@ -981,7 +925,7 @@ mod tests {
         for r in 0..n {
             m2.add(r, r, 0.25);
         }
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m2.as_slice()))
+        slu.refactor(n, &pat, |buf| buf.copy_from_slice(m2.as_slice()))
             .unwrap();
         let mut replayed = vec![1.0; n];
         slu.solve(&mut replayed);
@@ -1001,11 +945,11 @@ mod tests {
             m.set(r, r, 4.0);
             m.set(r, (r + 1) % n, 1.0);
         }
-        let mut slu = SparseReplayLu::new(n);
+        let mut slu = LuFactors::new(n);
         // Pattern must cover both value sets (dense here, which is an
         // allowed superset).
         let full = vec![u64::MAX; n];
-        slu.factor_with(n, &full, |buf| buf.copy_from_slice(m.as_slice()))
+        slu.refactor(n, &full, |buf| buf.copy_from_slice(m.as_slice()))
             .unwrap();
 
         // …then the values shift so that order's first pivot collapses.
@@ -1014,7 +958,7 @@ mod tests {
         m.set(0, 0, 1e-18);
         m.set(0, 1, 3.0);
         m.set(1, 0, 2.0);
-        slu.factor_with(n, &full, |buf| buf.copy_from_slice(m.as_slice()))
+        slu.refactor(n, &full, |buf| buf.copy_from_slice(m.as_slice()))
             .unwrap();
         let mut replayed = vec![1.0; n];
         slu.solve(&mut replayed);
@@ -1030,15 +974,15 @@ mod tests {
         let n = 8;
         let m = sparse_system(n, 59);
         let pat = pattern_of(&m);
-        let mut slu = SparseReplayLu::new(n);
-        slu.factor_with(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
+        let mut slu = LuFactors::new(n);
+        slu.refactor(n, &pat, |buf| buf.copy_from_slice(m.as_slice()))
             .unwrap();
 
         // A matrix with a *different* sparsity pattern is only legal after
         // invalidation (the caller's contract when the base plan rebuilds).
         let m2 = sparse_system(n, 61);
         slu.invalidate_structure();
-        slu.factor_with(n, &pattern_of(&m2), |buf| {
+        slu.refactor(n, &pattern_of(&m2), |buf| {
             buf.copy_from_slice(m2.as_slice())
         })
         .unwrap();
@@ -1061,8 +1005,8 @@ mod tests {
         m.set(1, 1, 1.0);
         m.set(2, 0, 2.0);
         m.set(2, 1, 1.0);
-        let mut slu = SparseReplayLu::new(n);
-        let got = slu.factor_with(n, &vec![u64::MAX; n], |buf| {
+        let mut slu = LuFactors::new(n);
+        let got = slu.refactor(n, &vec![u64::MAX; n], |buf| {
             buf.copy_from_slice(m.as_slice())
         });
         assert!(matches!(got, Err(Error::SingularMatrix { .. })), "{got:?}");

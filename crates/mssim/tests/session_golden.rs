@@ -1,15 +1,10 @@
-//! Golden equivalence: the deprecated free-function entry points must
-//! produce **bitwise identical** results to the [`Session`] API they now
-//! delegate to, and the telemetry counters a session derives from its
-//! event stream must agree exactly with the solver's own statistics.
-//!
-//! These tests pin the 0.2.0 migration contract: callers can swap
-//! `dc_operating_point(&ckt)` for `Session::new(&ckt).dc_operating_point()`
-//! (and likewise for sweep/AC/noise/transient) without any result drift.
+//! Golden results: the [`Session`] analyses are pinned to `f64` bit
+//! patterns recorded before the AC/noise solves moved onto the shared LU
+//! kernel, the deprecated `Transient::run` must produce **bitwise
+//! identical** results to the `Session` API it delegates to, and the
+//! telemetry counters a session derives from its event stream must agree
+//! exactly with the solver's own statistics.
 
-#![allow(deprecated)]
-
-use mssim::analysis::{ac_analysis, dc_operating_point, dc_sweep, noise_analysis};
 use mssim::elements::MosParams;
 use mssim::prelude::*;
 use mssim::telemetry::Event;
@@ -79,52 +74,112 @@ fn switch_adder_3x3() -> (Circuit, NodeId) {
     (ckt, out)
 }
 
+/// Bit patterns of `values[i]` for each `(i, bits)` in `expect`.
+fn assert_bits(what: &str, values: &[f64], len: usize, expect: &[(usize, u64)]) {
+    assert_eq!(values.len(), len, "{what}: length");
+    for &(i, bits) in expect {
+        assert_eq!(
+            values[i].to_bits(),
+            bits,
+            "{what}[{i}] = {:e} (pinned {:e})",
+            values[i],
+            f64::from_bits(bits)
+        );
+    }
+}
+
 #[test]
-fn wrapper_dc_operating_point_is_bitwise_identical_to_session() {
+fn session_dc_operating_point_is_bitwise_pinned() {
     let (ckt, _, _) = mos_inverter();
-    let legacy = dc_operating_point(&ckt).expect("legacy op converges");
-    let session = Session::new(&ckt)
+    let op = Session::new(&ckt)
         .dc_operating_point()
         .expect("session op converges");
-    assert_eq!(legacy.raw(), session.raw());
+    let all: Vec<(usize, u64)> = [
+        0x4004000000000000,
+        0,
+        0x4003fffffa52c12f,
+        0xbd95fd7fdc000000,
+        0,
+    ]
+    .into_iter()
+    .enumerate()
+    .collect();
+    assert_bits("op", op.raw(), 5, &all);
 }
 
 #[test]
-fn wrapper_dc_sweep_is_bitwise_identical_to_session() {
+fn session_dc_sweep_is_bitwise_pinned() {
     let (ckt, out, vin) = mos_inverter();
     let points = mssim::sweep::linspace(0.0, VDD, 21);
-    let legacy = dc_sweep(ckt.clone(), vin, &points).expect("legacy sweep converges");
-    let session = Session::new(&ckt)
+    let sweep = Session::new(&ckt)
         .dc_sweep(vin, &points)
         .expect("session sweep converges");
-    assert_eq!(legacy.values(), session.values());
-    assert_eq!(legacy.transfer(out), session.transfer(out));
+    assert_eq!(sweep.values(), &points[..]);
+    let vout: Vec<f64> = sweep.transfer(out).iter().map(|&(_, v)| v).collect();
+    assert_bits(
+        "transfer",
+        &vout,
+        21,
+        &[
+            (0, 0x4003fffffa52c12f),
+            (10, 0x3ffe1ea6ef7d3841),
+            (11, 0x3fd59a1ac6c5b356),
+            (16, 0x3f4e02a514599178),
+            (20, 0x3e588d515edee58b),
+        ],
+    );
 }
 
 #[test]
-fn wrapper_ac_analysis_is_bitwise_identical_to_session() {
+fn session_ac_is_bitwise_pinned() {
     let (ckt, out, vin) = mos_inverter();
     let freqs = mssim::sweep::logspace(1e3, 1e9, 31);
-    let legacy = ac_analysis(&ckt, vin, &freqs).expect("legacy ac converges");
-    let session = Session::new(&ckt)
+    let ac = Session::new(&ckt)
         .ac(vin, &freqs)
         .expect("session ac converges");
-    assert_eq!(legacy.magnitude(out), session.magnitude(out));
-    assert_eq!(legacy.phase_deg(out), session.phase_deg(out));
+    assert_bits(
+        "magnitude",
+        &ac.magnitude(out),
+        31,
+        &[
+            (0, 0x3e562733940d9645),
+            (20, 0x3e538fd050f51cdd),
+            (30, 0x3dfaabbdaf740bf9),
+        ],
+    );
+    assert_bits(
+        "phase_deg",
+        &ac.phase_deg(out),
+        31,
+        &[
+            (0, 0x40667fe70da2b183),
+            (20, 0x4063004d95fc40f0),
+            (30, 0x4056c4fbfa877999),
+        ],
+    );
 }
 
 #[test]
-fn wrapper_noise_analysis_is_bitwise_identical_to_session() {
+fn session_noise_is_bitwise_pinned() {
     let (ckt, out, _) = mos_inverter();
     let freqs = mssim::sweep::logspace(1e3, 1e9, 11);
-    let legacy = noise_analysis(&ckt, out, &freqs).expect("legacy noise converges");
-    let session = Session::new(&ckt)
+    let noise = Session::new(&ckt)
         .noise(out, &freqs)
         .expect("session noise converges");
-    assert_eq!(legacy.density(), session.density());
+    assert_bits(
+        "density",
+        noise.density(),
+        11,
+        &[
+            (0, 0x3e44c1f218dac8cc),
+            (7, 0x3e3fc058a468ca3a),
+            (10, 0x3de8fda118c2a286),
+        ],
+    );
 }
 
 #[test]
+#[allow(deprecated)]
 fn wrapper_transient_is_bitwise_identical_to_session() {
     let (ckt, out) = switch_adder_3x3();
     let tran = Transient::new(10e-12, 200.0 * 10e-12)

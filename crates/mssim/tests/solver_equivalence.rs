@@ -16,16 +16,13 @@ const TOL: f64 = 1e-12;
 /// Runs `ckt` on both solver paths and returns the largest voltage
 /// deviation over `probes`.
 fn transient_divergence(ckt: &Circuit, probes: &[NodeId], dt: f64, steps: usize) -> f64 {
-    let tran = |reference: bool| {
-        Transient::new(dt, steps as f64 * dt)
-            .use_initial_conditions()
-            .with_reference_solver(reference)
-    };
+    let tran = Transient::new(dt, steps as f64 * dt).use_initial_conditions();
     let plan = Session::new(ckt)
-        .transient(&tran(false))
+        .transient(&tran)
         .expect("plan transient converges");
     let reference = Session::new(ckt)
-        .transient(&tran(true))
+        .with_reference_solver(true)
+        .transient(&tran)
         .expect("reference transient converges");
     assert_eq!(plan.samples(), reference.samples());
     let mut worst = 0.0f64;
@@ -188,17 +185,15 @@ fn adaptive_stepping_never_skips_a_pwm_edge() {
     ckt.resistor("R1", inp, out, 1e3);
     ckt.capacitor("C1", out, Circuit::GND, 1e-12);
 
-    let tran = |reference: bool| {
-        Transient::new(t_stop / 200.0, t_stop)
-            .adaptive(AdaptiveConfig::default())
-            .use_initial_conditions()
-            .with_reference_solver(reference)
-    };
+    let tran = Transient::new(t_stop / 200.0, t_stop)
+        .adaptive(AdaptiveConfig::default())
+        .use_initial_conditions();
     let plan = Session::new(&ckt)
-        .transient(&tran(false))
+        .transient(&tran)
         .expect("plan adaptive run");
     let reference = Session::new(&ckt)
-        .transient(&tran(true))
+        .with_reference_solver(true)
+        .transient(&tran)
         .expect("reference adaptive run");
 
     // Identical accepted grids: the plan path's step-size decisions are
