@@ -1,9 +1,14 @@
-//! Fixed-step transient analysis.
+//! Transient analysis under a fixed-step or an adaptive step controller.
 //!
-//! Capacitors are replaced by integration companions (trapezoidal by
-//! default, backward Euler on the first step and on request) and the
-//! resulting nonlinear system is solved by damped Newton–Raphson at every
-//! time point, warm-started from the previous solution.
+//! Capacitors and inductors are replaced by integration companions
+//! (trapezoidal by default, backward Euler on the first step and on
+//! request) and the resulting nonlinear system is solved by damped
+//! Newton–Raphson at every time point, warm-started from the previous
+//! solution.
+//!
+//! `Stepper` takes one implicit step of a `State`, `Integrator::advance`
+//! adds the rescue ladder for both controllers, `Recorder` keeps the
+//! waveforms.
 
 use crate::analysis::dcop::dc_operating_point_impl;
 use crate::analysis::mna::{CapCompanion, IndCompanion, MnaLayout, NewtonOpts, SolveContext};
@@ -26,26 +31,6 @@ pub enum IntegrationMethod {
     Trapezoidal,
 }
 
-/// A configured transient analysis.
-///
-/// # Examples
-///
-/// ```
-/// use mssim::prelude::*;
-///
-/// # fn main() -> Result<(), mssim::Error> {
-/// let mut ckt = Circuit::new();
-/// let inp = ckt.node("in");
-/// let out = ckt.node("out");
-/// ckt.vsource("V1", inp, Circuit::GND, Waveform::pwm(2.5, 1e6, 0.25));
-/// ckt.resistor("R1", inp, out, 10e3);
-/// ckt.capacitor("C1", out, Circuit::GND, 1e-9);
-/// let result = Session::new(&ckt).transient(&Transient::new(2e-9, 100e-6).use_initial_conditions())?;
-/// let avg = result.voltage(out).steady_state_average(1e-6, 10);
-/// assert!((avg - 2.5 * 0.25).abs() < 0.05); // PWM average = Vdd · duty
-/// # Ok(())
-/// # }
-/// ```
 /// Settings for adaptive time-stepping.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
@@ -203,240 +188,26 @@ impl TransientOutcome {
     }
 }
 
-/// Deep copy of the integrator state, taken before a step so any rescue
-/// rung can rewind to the last accepted point.
-struct StateSnapshot {
-    x: Vec<f64>,
-    v_prev: Vec<f64>,
-    i_prev: Vec<f64>,
-    il_prev: Vec<f64>,
-    vl_prev: Vec<f64>,
-}
-
-impl StateSnapshot {
-    fn capture(
-        x: &[f64],
-        v_prev: &[f64],
-        i_prev: &[f64],
-        il_prev: &[f64],
-        vl_prev: &[f64],
-    ) -> Self {
-        StateSnapshot {
-            x: x.to_vec(),
-            v_prev: v_prev.to_vec(),
-            i_prev: i_prev.to_vec(),
-            il_prev: il_prev.to_vec(),
-            vl_prev: vl_prev.to_vec(),
-        }
-    }
-
-    fn restore(
-        &self,
-        x: &mut [f64],
-        v_prev: &mut [f64],
-        i_prev: &mut [f64],
-        il_prev: &mut [f64],
-        vl_prev: &mut [f64],
-    ) {
-        x.copy_from_slice(&self.x);
-        self.restore_reactive(v_prev, i_prev, il_prev, vl_prev);
-    }
-
-    /// Restores the reactive-element history but keeps `x` — the gmin
-    /// stage warm-starts each solve from the previous rung's iterate.
-    fn restore_reactive(
-        &self,
-        v_prev: &mut [f64],
-        i_prev: &mut [f64],
-        il_prev: &mut [f64],
-        vl_prev: &mut [f64],
-    ) {
-        v_prev.copy_from_slice(&self.v_prev);
-        i_prev.copy_from_slice(&self.i_prev);
-        il_prev.copy_from_slice(&self.il_prev);
-        vl_prev.copy_from_slice(&self.vl_prev);
-    }
-}
-
-/// Walks the rescue ladder over one failing step `t_from → t_target`.
+/// A configured transient analysis.
 ///
-/// `take_step` is the integrator's single-step primitive
-/// `(t_new, h, be, gshunt, probe, x, v_prev, i_prev, il_prev, vl_prev)`.
-/// Returns the rungs tried and the stage that recovered the step, or
-/// `None` when exhausted (in which case the state is rewound to `snap`).
-#[allow(clippy::too_many_arguments)]
-fn rescue_ladder<F>(
-    policy: &RescuePolicy,
-    take_step: &mut F,
-    probe: &mut Probe<'_>,
-    t_from: f64,
-    t_target: f64,
-    method_be: bool,
-    snap: &StateSnapshot,
-    x: &mut Vec<f64>,
-    v_prev: &mut [f64],
-    i_prev: &mut [f64],
-    il_prev: &mut [f64],
-    vl_prev: &mut [f64],
-) -> (usize, Option<&'static str>)
-where
-    F: FnMut(
-        f64,
-        f64,
-        bool,
-        f64,
-        &mut Probe<'_>,
-        &mut Vec<f64>,
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-    ) -> Result<(), Error>,
-{
-    let h_full = t_target - t_from;
-    let mut attempts = 0usize;
-
-    // Stages 1 and 2: timestep cutting, first with the caller's method,
-    // then forced backward Euler. A BE caller skips the redundant rerun.
-    let stages: &[(&'static str, bool)] = if method_be {
-        &[("dt_cut", true)]
-    } else {
-        &[("dt_cut", false), ("be", true)]
-    };
-    for &(stage, be) in stages {
-        let k_first = if stage == "be" { 0 } else { 1 };
-        for k in k_first..=policy.max_step_cuts {
-            let n_sub = 1u32 << k;
-            let h_sub = h_full / f64::from(n_sub);
-            snap.restore(x, v_prev, i_prev, il_prev, vl_prev);
-            attempts += 1;
-            let mut converged = true;
-            for i in 1..=n_sub {
-                let t_new = if i == n_sub {
-                    t_target
-                } else {
-                    t_from + f64::from(i) * h_sub
-                };
-                if take_step(
-                    t_new, h_sub, be, 0.0, probe, x, v_prev, i_prev, il_prev, vl_prev,
-                )
-                .is_err()
-                {
-                    converged = false;
-                    break;
-                }
-            }
-            probe.emit(Event::RescueAttempt {
-                stage,
-                time: t_target,
-                dt: h_sub,
-                param: 0.0,
-                converged,
-            });
-            if converged {
-                return (attempts, Some(stage));
-            }
-        }
-    }
-
-    // Stage 3: per-point gmin. Solve the full step (backward Euler) with
-    // a shunt to ground, relaxing it rung by rung down to exactly zero;
-    // each solve warm-starts the next, so only the final zero-shunt
-    // solution is ever committed to the waveform.
-    snap.restore(x, v_prev, i_prev, il_prev, vl_prev);
-    let mut converged_all = true;
-    for g in policy
-        .gmin_ladder
-        .iter()
-        .copied()
-        .chain(std::iter::once(0.0))
-    {
-        // Rewind the reactive history but keep `x` as the warm start.
-        snap.restore_reactive(v_prev, i_prev, il_prev, vl_prev);
-        attempts += 1;
-        let r = take_step(
-            t_target, h_full, true, g, probe, x, v_prev, i_prev, il_prev, vl_prev,
-        );
-        probe.emit(Event::RescueAttempt {
-            stage: "gmin",
-            time: t_target,
-            dt: h_full,
-            param: g,
-            converged: r.is_ok(),
-        });
-        if r.is_err() {
-            converged_all = false;
-            break;
-        }
-    }
-    if converged_all {
-        return (attempts, Some("gmin"));
-    }
-
-    // Exhausted: rewind so the partial waveform ends at the last
-    // accepted step.
-    snap.restore(x, v_prev, i_prev, il_prev, vl_prev);
-    (attempts, None)
-}
-
-/// Budget check + ladder walk + telemetry + report entry for one
-/// troubled step. Returns `true` when the step was recovered.
-#[allow(clippy::too_many_arguments)]
-fn attempt_rescue<F>(
-    policy: &RescuePolicy,
-    report: &mut RescueReport,
-    take_step: &mut F,
-    probe: &mut Probe<'_>,
-    t_from: f64,
-    t_target: f64,
-    method_be: bool,
-    snap: &StateSnapshot,
-    x: &mut Vec<f64>,
-    v_prev: &mut [f64],
-    i_prev: &mut [f64],
-    il_prev: &mut [f64],
-    vl_prev: &mut [f64],
-) -> bool
-where
-    F: FnMut(
-        f64,
-        f64,
-        bool,
-        f64,
-        &mut Probe<'_>,
-        &mut Vec<f64>,
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-        &mut [f64],
-    ) -> Result<(), Error>,
-{
-    let (attempts, stage) = if report.incidents.len() >= policy.max_rescued_steps {
-        // Rescue budget spent: rewind without burning more solves.
-        snap.restore(x, v_prev, i_prev, il_prev, vl_prev);
-        (0, None)
-    } else {
-        rescue_ladder(
-            policy, take_step, probe, t_from, t_target, method_be, snap, x, v_prev, i_prev,
-            il_prev, vl_prev,
-        )
-    };
-    probe.emit(Event::RescueOutcome {
-        time: t_target,
-        stage: stage.unwrap_or("exhausted"),
-        attempts: attempts as u32,
-        recovered: stage.is_some(),
-    });
-    report.incidents.push(RescueIncident {
-        time: t_target,
-        attempts,
-        recovered_by: stage,
-    });
-    stage.is_some()
-}
-
-/// A configured transient analysis (see the crate-level example and
-/// [`Transient::new`]).
+/// # Examples
+///
+/// ```
+/// use mssim::prelude::*;
+///
+/// # fn main() -> Result<(), mssim::Error> {
+/// let mut ckt = Circuit::new();
+/// let inp = ckt.node("in");
+/// let out = ckt.node("out");
+/// ckt.vsource("V1", inp, Circuit::GND, Waveform::pwm(2.5, 1e6, 0.25));
+/// ckt.resistor("R1", inp, out, 10e3);
+/// ckt.capacitor("C1", out, Circuit::GND, 1e-9);
+/// let result = Session::new(&ckt).transient(&Transient::new(2e-9, 100e-6).use_initial_conditions())?;
+/// let avg = result.voltage(out).steady_state_average(1e-6, 10);
+/// assert!((avg - 2.5 * 0.25).abs() < 0.05); // PWM average = Vdd · duty
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct Transient {
     dt: f64,
@@ -452,12 +223,10 @@ impl Transient {
     /// Creates a transient analysis with time step `dt` running to
     /// `t_stop` (both in seconds).
     ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive or `t_stop < dt`.
+    /// The run returns [`Error::InvalidParameter`] if `dt` is not
+    /// strictly positive and finite, if `t_stop < dt`, or if `t_stop / dt`
+    /// asks for more samples than can be recorded.
     pub fn new(dt: f64, t_stop: f64) -> Self {
-        assert!(dt > 0.0 && dt.is_finite(), "dt must be positive");
-        assert!(t_stop >= dt, "t_stop must be at least one step");
         Transient {
             dt,
             t_stop,
@@ -494,24 +263,16 @@ impl Transient {
     }
 
     /// Records only every `n`-th time point (the final point is always
-    /// recorded). Reduces memory for long runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// recorded). Reduces memory for long runs. The run returns
+    /// [`Error::InvalidParameter`] if `n == 0`.
     pub fn record_every(mut self, n: usize) -> Self {
-        assert!(n > 0, "record decimation must be at least 1");
         self.record_every = n;
         self
     }
 
-    /// Sets the Newton iteration limit per time step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// Sets the Newton iteration limit per time step. The run returns
+    /// [`Error::InvalidParameter`] if `n == 0`.
     pub fn with_max_iterations(mut self, n: usize) -> Self {
-        assert!(n > 0, "iteration limit must be at least 1");
         self.max_iter = n;
         self
     }
@@ -520,10 +281,11 @@ impl Transient {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::LintRejected`] for broken netlists (see
-    /// [`crate::lint`]), [`Error::NonConvergence`] if Newton iteration
-    /// fails at some time point, and [`Error::SingularMatrix`] for
-    /// under-determined systems.
+    /// Returns [`Error::InvalidParameter`] for an invalid configuration
+    /// (see [`Transient::new`]), [`Error::LintRejected`] for broken
+    /// netlists (see [`crate::lint`]), [`Error::NonConvergence`] if
+    /// Newton iteration fails at some time point, and
+    /// [`Error::SingularMatrix`] for under-determined systems.
     #[deprecated(
         since = "0.2.0",
         note = "use `Session::new(&circuit).transient(&tran)` instead"
@@ -533,41 +295,18 @@ impl Transient {
     }
 
     /// The analysis proper, with the solver flavour and instrumentation
-    /// handle supplied by [`Session`](crate::Session).
-    pub(crate) fn run_with(
-        &self,
-        circuit: &Circuit,
-        sel: EngineSel,
-        probe: Probe<'_>,
-    ) -> Result<TransientResult, Error> {
-        match self.run_impl(circuit, sel, None, probe)? {
-            TransientOutcome::Complete { result, .. } => Ok(result),
-            // Unreachable without a rescue policy, but cheap to honour.
-            TransientOutcome::Partial { error, .. } => Err(error),
-        }
-    }
-
-    /// Like [`run_with`](Self::run_with) but under a [`RescuePolicy`]:
-    /// non-convergent steps enter the rescue ladder and an exhausted
-    /// ladder degrades to [`TransientOutcome::Partial`] instead of an
-    /// error.
-    pub(crate) fn run_rescued(
-        &self,
-        circuit: &Circuit,
-        sel: EngineSel,
-        policy: &RescuePolicy,
-        probe: Probe<'_>,
-    ) -> Result<TransientOutcome, Error> {
-        self.run_impl(circuit, sel, Some(policy), probe)
-    }
-
-    fn run_impl(
+    /// handle supplied by [`Session`](crate::Session). Without a `policy`
+    /// a non-convergent step is an error; under one it enters the rescue
+    /// ladder, and an exhausted ladder ends the run as
+    /// [`TransientOutcome::Partial`].
+    pub(crate) fn execute(
         &self,
         circuit: &Circuit,
         sel: EngineSel,
         policy: Option<&RescuePolicy>,
         mut probe: Probe<'_>,
     ) -> Result<TransientOutcome, Error> {
+        self.check()?;
         let ctx = if self.uic {
             crate::lint::LintContext::TransientUic
         } else {
@@ -578,433 +317,205 @@ impl Transient {
             analysis: "transient",
         });
         let layout = MnaLayout::new(circuit);
-        let n = layout.size();
-        let node_rows = layout.n_nodes - 1;
-
-        // Collect capacitor and source bookkeeping.
-        struct CapInfo {
-            a: NodeId,
-            b: NodeId,
-            farads: f64,
-            ic: f64,
-        }
-        struct IndInfo {
-            a: NodeId,
-            b: NodeId,
-            henries: f64,
-            ic: f64,
-            branch: usize,
-        }
-        let mut caps: Vec<CapInfo> = Vec::new();
-        let mut inds: Vec<IndInfo> = Vec::new();
-        let mut sources: Vec<SourceInfo> = Vec::new();
-        let mut branch_elements: Vec<(usize, usize)> = Vec::new();
-        for (idx, (_, _, e)) in circuit.elements().enumerate() {
-            match e {
-                Element::Capacitor {
-                    a,
-                    b,
-                    farads,
-                    initial_voltage,
-                } => caps.push(CapInfo {
-                    a: *a,
-                    b: *b,
-                    farads: *farads,
-                    ic: *initial_voltage,
-                }),
-                Element::Inductor {
-                    a,
-                    b,
-                    henries,
-                    initial_current,
-                } => {
-                    let branch = layout.branch_of[idx].expect("inductor branch");
-                    inds.push(IndInfo {
-                        a: *a,
-                        b: *b,
-                        henries: *henries,
-                        ic: *initial_current,
-                        branch,
-                    });
-                    branch_elements.push((idx, branch));
-                }
-                Element::VoltageSource { pos, neg, .. } => {
-                    let branch = layout.branch_of[idx].expect("vsource branch");
-                    sources.push(SourceInfo {
-                        element: idx,
-                        pos: *pos,
-                        neg: *neg,
-                        branch,
-                    });
-                    branch_elements.push((idx, branch));
-                }
-                _ => {}
-            }
-        }
-
-        // Initial solution.
-        let mut x = vec![0.0; n];
-        let mut v_prev: Vec<f64>;
-        let mut il_prev: Vec<f64>;
-        let mut vl_prev: Vec<f64>;
-        if self.uic {
-            v_prev = caps.iter().map(|c| c.ic).collect();
-            il_prev = inds.iter().map(|l| l.ic).collect();
-            vl_prev = vec![0.0; inds.len()];
-            // Seed the branch unknowns with the initial currents so the
-            // first Newton iterate starts consistent.
-            for l in &inds {
-                x[layout.branch_row(l.branch)] = l.ic;
-            }
-        } else {
-            let op = dc_operating_point_impl(circuit, sel, probe.reborrow())?;
-            x.copy_from_slice(op.raw());
-            v_prev = caps
-                .iter()
-                .map(|c| op.voltage(c.a) - op.voltage(c.b))
-                .collect();
-            il_prev = inds
-                .iter()
-                .map(|l| op.raw()[layout.branch_row(l.branch)])
-                .collect();
-            vl_prev = vec![0.0; inds.len()]; // DC: zero volts across L
-        }
-        let mut i_prev = vec![0.0; caps.len()];
-
-        let opts = NewtonOpts {
-            max_iter: self.max_iter,
-            ..NewtonOpts::default()
+        let (stepper, state) =
+            Stepper::new(circuit, layout, sel, self.uic, self.max_iter, &mut probe)?;
+        let mut recorder = Recorder::new(state.x.len(), self.record_every, self.steps())?;
+        recorder.record(0.0, &state.x);
+        let mut run = Integrator {
+            saved: state.clone(),
+            stepper,
+            state,
+            checkpoint: self.adaptive.is_some() || policy.is_some(),
+            policy,
+            report: RescueReport::default(),
         };
-        let mut engine = SolverEngine::new(circuit, &layout, PlanMode::Tran, sel);
-        let mut companions = vec![CapCompanion::default(); caps.len()];
-        let mut ind_companions = vec![IndCompanion::default(); inds.len()];
-
-        let steps = (self.t_stop / self.dt).round().max(1.0) as usize;
-        let recorded = steps / self.record_every + 2;
-        let mut times = Vec::with_capacity(recorded);
-        let mut signals: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(recorded)).collect();
-
-        let record = |t: f64, x: &[f64], times: &mut Vec<f64>, signals: &mut [Vec<f64>]| {
-            times.push(t);
-            for (sig, &val) in signals.iter_mut().zip(x) {
-                sig.push(val);
-            }
+        let partial = match self.adaptive {
+            Some(cfg) => self.run_adaptive(cfg, &mut run, &mut recorder, &mut probe)?,
+            None => self.run_fixed(&mut run, &mut recorder, &mut probe)?,
         };
-        record(0.0, &x, &mut times, &mut signals);
-
-        let v_of = |x: &[f64], node: NodeId| -> f64 {
-            match layout.node_row(node) {
-                None => 0.0,
-                Some(r) => x[r],
-            }
-        };
-
-        // One implicit step of size `h` from the current state at time
-        // `t_now` to `t_now + h`, updating x and the reactive states.
-        let mut take_step = |t_new: f64,
-                             h: f64,
-                             be: bool,
-                             gshunt: f64,
-                             probe: &mut Probe<'_>,
-                             x: &mut Vec<f64>,
-                             v_prev: &mut [f64],
-                             i_prev: &mut [f64],
-                             il_prev: &mut [f64],
-                             vl_prev: &mut [f64]|
-         -> Result<(), Error> {
-            for (k, c) in caps.iter().enumerate() {
-                let (geq, ieq) = if be {
-                    let geq = c.farads / h;
-                    (geq, geq * v_prev[k])
-                } else {
-                    let geq = 2.0 * c.farads / h;
-                    (geq, geq * v_prev[k] + i_prev[k])
-                };
-                companions[k] = CapCompanion { geq, ieq };
-            }
-            for (k, l) in inds.iter().enumerate() {
-                let (geq, ieq) = if be {
-                    let geq = h / l.henries;
-                    (geq, il_prev[k])
-                } else {
-                    let geq = 0.5 * h / l.henries;
-                    (geq, il_prev[k] + geq * vl_prev[k])
-                };
-                ind_companions[k] = IndCompanion { geq, ieq };
-            }
-            let ctx = SolveContext {
-                time: t_new,
-                source_scale: 1.0,
-                caps: Some(&companions),
-                inds: Some(&ind_companions),
-                gshunt,
-            };
-            probe.solve(&mut engine, circuit, &layout, x, ctx, &opts, "transient")?;
-            for (k, c) in caps.iter().enumerate() {
-                let v_new = v_of(x, c.a) - v_of(x, c.b);
-                i_prev[k] = companions[k].geq * v_new - companions[k].ieq;
-                v_prev[k] = v_new;
-            }
-            for (k, l) in inds.iter().enumerate() {
-                il_prev[k] = x[layout.branch_row(l.branch)];
-                vl_prev[k] = v_of(x, l.a) - v_of(x, l.b);
-            }
-            Ok(())
-        };
-
-        let mut report = RescueReport::default();
-        let mut partial_error: Option<Error> = None;
-
-        if let Some(cfg) = self.adaptive {
-            // ---- adaptive stepping ---------------------------------
-            let max_dt = self.dt;
-            let min_dt = if cfg.min_dt > 0.0 {
-                cfg.min_dt
-            } else {
-                max_dt * 1e-6
-            };
-            // Breakpoint lookup across all independent sources.
-            let waveforms: Vec<&crate::waveform::Waveform> = circuit
-                .elements()
-                .filter_map(|(_, _, e)| match e {
-                    Element::VoltageSource { waveform, .. }
-                    | Element::CurrentSource { waveform, .. } => Some(waveform),
-                    _ => None,
-                })
-                .collect();
-            let next_bp = |t: f64| -> Option<f64> {
-                waveforms
-                    .iter()
-                    .filter_map(|w| w.next_breakpoint(t))
-                    .min_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"))
-            };
-
-            let mut t_now = 0.0f64;
-            // Start two decades below the ceiling: the error controller
-            // has no history yet, so the first accepted step is blind.
-            let mut h = (max_dt / 100.0).max(min_dt);
-            let mut first = true;
-            // Slope history for the predictor.
-            let mut x_prev = x.clone();
-            let mut h_last = 0.0f64;
-            while t_now < self.t_stop - 1e-18 * self.t_stop.max(1.0) {
-                let mut h_try = h.min(self.t_stop - t_now).max(min_dt * 1e-3);
-                if let Some(bp) = next_bp(t_now) {
-                    if bp < t_now + h_try {
-                        h_try = (bp - t_now).max(min_dt * 1e-3);
-                        probe.emit(Event::EdgeSnap {
-                            time: t_now,
-                            dt: h_try,
-                            breakpoint: bp,
-                        });
-                    }
-                }
-                // Save state for possible rejection.
-                let x_save = x.clone();
-                let vp_save = v_prev.clone();
-                let ip_save = i_prev.clone();
-                let ilp_save = il_prev.clone();
-                let vlp_save = vl_prev.clone();
-
-                let be = matches!(self.method, IntegrationMethod::BackwardEuler) || first;
-                let t_new = t_now + h_try;
-                let mut rescued = false;
-                match take_step(
-                    t_new,
-                    h_try,
-                    be,
-                    0.0,
-                    &mut probe,
-                    &mut x,
-                    &mut v_prev,
-                    &mut i_prev,
-                    &mut il_prev,
-                    &mut vl_prev,
-                ) {
-                    Ok(()) => {}
-                    Err(e @ Error::NonConvergence { .. }) => {
-                        let Some(policy) = policy else { return Err(e) };
-                        let snap = StateSnapshot {
-                            x: x_save.clone(),
-                            v_prev: vp_save.clone(),
-                            i_prev: ip_save.clone(),
-                            il_prev: ilp_save.clone(),
-                            vl_prev: vlp_save.clone(),
-                        };
-                        if !attempt_rescue(
-                            policy,
-                            &mut report,
-                            &mut take_step,
-                            &mut probe,
-                            t_now,
-                            t_new,
-                            be,
-                            &snap,
-                            &mut x,
-                            &mut v_prev,
-                            &mut i_prev,
-                            &mut il_prev,
-                            &mut vl_prev,
-                        ) {
-                            partial_error = Some(Error::NonConvergence {
-                                analysis: "transient",
-                                time: t_new,
-                                iterations: self.max_iter,
-                                stage: "rescue",
-                                attempts: report.incidents.last().map_or(0, |i| i.attempts),
-                            });
-                            break;
-                        }
-                        rescued = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-
-                // LTE estimate: discrepancy against the linear predictor
-                // x_pred = x_prev + slope·h. Only meaningful with history
-                // and away from breakpoints just crossed. A rescued step
-                // is accepted unconditionally: the predictor comparison
-                // is meaningless across a sub-stepped interval.
-                let mut err = 0.0f64;
-                if !rescued && !first && h_last > 0.0 {
-                    for r in 0..node_rows {
-                        let slope = (x_save[r] - x_prev[r]) / h_last;
-                        let pred = x_save[r] + slope * h_try;
-                        let scale = 1.0 + x[r].abs();
-                        err = err.max((x[r] - pred).abs() / scale);
-                    }
-                }
-
-                if !first && err > cfg.tolerance && h_try > min_dt {
-                    // Reject: restore and halve.
-                    probe.emit(Event::StepRejected {
-                        time: t_new,
-                        dt: h_try,
-                        lte: err,
-                    });
-                    x = x_save;
-                    v_prev = vp_save;
-                    i_prev = ip_save;
-                    il_prev = ilp_save;
-                    vl_prev = vlp_save;
-                    h = (h_try * 0.5).max(min_dt);
-                    continue;
-                }
-
-                // Accept.
-                probe.emit(Event::StepAccepted {
-                    time: t_new,
-                    dt: h_try,
-                    lte: err,
-                });
-                x_prev = x_save;
-                h_last = h_try;
-                t_now = t_new;
-                first = false;
-                record(t_now, &x, &mut times, &mut signals);
-                h = if err < cfg.tolerance * 0.25 {
-                    (h_try * 1.5).min(max_dt)
-                } else {
-                    h_try.min(max_dt)
-                };
-            }
-        } else {
-            // ---- fixed stepping ------------------------------------
-            for step in 1..=steps {
-                let t = step as f64 * self.dt;
-                let t_prev = (step - 1) as f64 * self.dt;
-                let be = matches!(self.method, IntegrationMethod::BackwardEuler) || step == 1;
-                // Snapshots only exist under a rescue policy, so the
-                // plain hot path stays allocation-free per step.
-                let snap = policy
-                    .map(|_| StateSnapshot::capture(&x, &v_prev, &i_prev, &il_prev, &vl_prev));
-                match take_step(
-                    t,
-                    self.dt,
-                    be,
-                    0.0,
-                    &mut probe,
-                    &mut x,
-                    &mut v_prev,
-                    &mut i_prev,
-                    &mut il_prev,
-                    &mut vl_prev,
-                ) {
-                    Ok(()) => {}
-                    Err(e @ Error::NonConvergence { .. }) => {
-                        let (Some(policy), Some(snap)) = (policy, snap.as_ref()) else {
-                            return Err(e);
-                        };
-                        if !attempt_rescue(
-                            policy,
-                            &mut report,
-                            &mut take_step,
-                            &mut probe,
-                            t_prev,
-                            t,
-                            be,
-                            snap,
-                            &mut x,
-                            &mut v_prev,
-                            &mut i_prev,
-                            &mut il_prev,
-                            &mut vl_prev,
-                        ) {
-                            partial_error = Some(Error::NonConvergence {
-                                analysis: "transient",
-                                time: t,
-                                iterations: self.max_iter,
-                                stage: "rescue",
-                                attempts: report.incidents.last().map_or(0, |i| i.attempts),
-                            });
-                            // Put the last accepted point on record if
-                            // decimation skipped it.
-                            if times.last().copied() != Some(t_prev) {
-                                record(t_prev, &x, &mut times, &mut signals);
-                            }
-                            break;
-                        }
-                    }
-                    Err(e) => return Err(e),
-                }
-                probe.emit(Event::StepAccepted {
-                    time: t,
-                    dt: self.dt,
-                    lte: 0.0,
-                });
-                if step % self.record_every == 0 || step == steps {
-                    record(t, &x, &mut times, &mut signals);
-                }
-            }
-        }
-
-        probe.report(&engine, "transient");
-        let ground = vec![0.0; times.len()];
-        let result = TransientResult {
-            times,
-            signals,
-            ground,
-            node_rows,
-            n_nodes: layout.n_nodes,
-            sources,
-            branch_elements,
-        };
-        match partial_error {
+        probe.report(&run.stepper.engine, "transient");
+        let result = recorder.finish(circuit, &run.stepper.layout);
+        let rescues = run.report;
+        Ok(match partial {
             None => {
                 probe.emit(Event::AnalysisEnd {
                     analysis: "transient",
                 });
-                Ok(TransientOutcome::Complete {
-                    result,
-                    rescues: report,
-                })
+                TransientOutcome::Complete { result, rescues }
             }
-            Some(error) => Ok(TransientOutcome::Partial {
+            Some(error) => TransientOutcome::Partial {
                 result,
-                rescues: report,
+                rescues,
                 error,
-            }),
+            },
+        })
+    }
+
+    /// The one check of the builder's inputs, made before any work.
+    fn check(&self) -> Result<(), Error> {
+        let reason = if self.dt <= 0.0 || !self.dt.is_finite() {
+            "dt must be positive and finite"
+        } else if self.t_stop.is_nan() || self.t_stop < self.dt {
+            "t_stop must be at least one step"
+        } else if self.record_every == 0 {
+            "record decimation must be at least 1"
+        } else if self.max_iter == 0 {
+            "iteration limit must be at least 1"
+        } else {
+            return Ok(());
+        };
+        Err(invalid(reason.to_owned()))
+    }
+
+    /// Number of fixed steps (saturating at `usize::MAX`).
+    fn steps(&self) -> usize {
+        (self.t_stop / self.dt).round().max(1.0) as usize
+    }
+
+    /// Fixed stepping: step `k` ends at exactly `k·dt`. Returns the error
+    /// that ended the run early, if any.
+    fn run_fixed(
+        &self,
+        run: &mut Integrator<'_>,
+        recorder: &mut Recorder,
+        probe: &mut Probe<'_>,
+    ) -> Result<Option<Error>, Error> {
+        let mut t_prev = 0.0;
+        for step in 1..=self.steps() {
+            let t = step as f64 * self.dt;
+            let be = self.method == IntegrationMethod::BackwardEuler || step == 1;
+            if let Advance::Exhausted(error) = run.advance(t_prev, t, self.dt, be, probe)? {
+                recorder.close(t_prev, &run.state.x);
+                return Ok(Some(error));
+            }
+            probe.emit(Event::StepAccepted {
+                time: t,
+                dt: self.dt,
+                lte: 0.0,
+            });
+            recorder.sample(step, t, &run.state.x);
+            t_prev = t;
         }
+        recorder.close(t_prev, &run.state.x);
+        Ok(None)
+    }
+
+    /// Adaptive stepping: the step shrinks and grows on a local-truncation-
+    /// error estimate and is cut short to land on every source breakpoint.
+    /// Every accepted point is recorded. Returns the error that ended the
+    /// run early, if any.
+    fn run_adaptive(
+        &self,
+        cfg: AdaptiveConfig,
+        run: &mut Integrator<'_>,
+        recorder: &mut Recorder,
+        probe: &mut Probe<'_>,
+    ) -> Result<Option<Error>, Error> {
+        let max_dt = self.dt;
+        let min_dt = if cfg.min_dt > 0.0 {
+            cfg.min_dt
+        } else {
+            max_dt * 1e-6
+        };
+        // Breakpoint lookup across all independent sources.
+        let waveforms: Vec<&crate::waveform::Waveform> = run
+            .stepper
+            .circuit
+            .elements()
+            .filter_map(|(_, _, e)| match e {
+                Element::VoltageSource { waveform, .. }
+                | Element::CurrentSource { waveform, .. } => Some(waveform),
+                _ => None,
+            })
+            .collect();
+        let next_bp = |t: f64| -> Option<f64> {
+            waveforms
+                .iter()
+                .filter_map(|w| w.next_breakpoint(t))
+                .min_by(f64::total_cmp)
+        };
+        let node_rows = run.stepper.layout.n_nodes - 1;
+
+        let mut t_now = 0.0f64;
+        // Start two decades below the ceiling: the error controller
+        // has no history yet, so the first accepted step is blind.
+        let mut h = (max_dt / 100.0).max(min_dt);
+        let mut first = true;
+        // Slope history for the predictor.
+        let mut x_prev = run.state.x.clone();
+        let mut h_last = 0.0f64;
+        while t_now < self.t_stop - 1e-18 * self.t_stop.max(1.0) {
+            let mut h_try = h.min(self.t_stop - t_now).max(min_dt * 1e-3);
+            if let Some(bp) = next_bp(t_now) {
+                if bp < t_now + h_try {
+                    h_try = (bp - t_now).max(min_dt * 1e-3);
+                    probe.emit(Event::EdgeSnap {
+                        time: t_now,
+                        dt: h_try,
+                        breakpoint: bp,
+                    });
+                }
+            }
+            let be = self.method == IntegrationMethod::BackwardEuler || first;
+            let t_new = t_now + h_try;
+            let rescued = match run.advance(t_now, t_new, h_try, be, probe)? {
+                Advance::Clean => false,
+                Advance::Rescued => true,
+                Advance::Exhausted(error) => return Ok(Some(error)),
+            };
+
+            // LTE estimate: discrepancy against the linear predictor
+            // x_pred = x_prev + slope·h. Only meaningful with history
+            // and away from breakpoints just crossed. A rescued step
+            // is accepted unconditionally: the predictor comparison
+            // is meaningless across a sub-stepped interval.
+            let (x, x_save) = (&run.state.x, &run.saved.x);
+            let mut err = 0.0f64;
+            if !rescued && !first && h_last > 0.0 {
+                for r in 0..node_rows {
+                    let slope = (x_save[r] - x_prev[r]) / h_last;
+                    let pred = x_save[r] + slope * h_try;
+                    let scale = 1.0 + x[r].abs();
+                    err = err.max((x[r] - pred).abs() / scale);
+                }
+            }
+
+            if !first && err > cfg.tolerance && h_try > min_dt {
+                probe.emit(Event::StepRejected {
+                    time: t_new,
+                    dt: h_try,
+                    lte: err,
+                });
+                run.rewind();
+                h = (h_try * 0.5).max(min_dt);
+                continue;
+            }
+
+            probe.emit(Event::StepAccepted {
+                time: t_new,
+                dt: h_try,
+                lte: err,
+            });
+            x_prev.copy_from_slice(&run.saved.x);
+            h_last = h_try;
+            t_now = t_new;
+            first = false;
+            recorder.record(t_now, &run.state.x);
+            h = if err < cfg.tolerance * 0.25 {
+                (h_try * 1.5).min(max_dt)
+            } else {
+                h_try.min(max_dt)
+            };
+        }
+        Ok(None)
+    }
+}
+
+/// An invalid transient configuration.
+fn invalid(reason: String) -> Error {
+    Error::InvalidParameter {
+        element: "transient".to_owned(),
+        reason,
     }
 }
 
@@ -1151,6 +662,485 @@ impl Solution for TransientResult {
         let trace = TransientResult::branch_current(self, element)?;
         let values = trace.values().to_vec();
         Ok(TraceData::new(self.times.clone(), values))
+    }
+}
+
+/// Integrator state at one time point: the MNA unknowns and the reactive
+/// history the next step's companions are built from.
+#[derive(Default)]
+struct State {
+    /// Node voltages, then branch currents.
+    x: Vec<f64>,
+    /// Voltage across and current through each capacitor.
+    v_prev: Vec<f64>,
+    i_prev: Vec<f64>,
+    /// Current through and voltage across each inductor.
+    il_prev: Vec<f64>,
+    vl_prev: Vec<f64>,
+}
+
+impl State {
+    /// Rewinds the reactive history to `saved` but keeps `x`: the gmin
+    /// stage warm-starts each solve from the previous rung's iterate.
+    fn rewind_history(&mut self, saved: &State) {
+        self.v_prev.clone_from(&saved.v_prev);
+        self.i_prev.clone_from(&saved.i_prev);
+        self.il_prev.clone_from(&saved.il_prev);
+        self.vl_prev.clone_from(&saved.vl_prev);
+    }
+}
+
+// Written out so that `clone_from` refills the buffers in place; the
+// derived `clone_from` allocates a fresh copy of every vector.
+impl Clone for State {
+    fn clone(&self) -> Self {
+        let mut state = State::default();
+        state.clone_from(self);
+        state
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.x.clone_from(&source.x);
+        self.rewind_history(source);
+    }
+}
+
+/// A capacitor as the stepper sees it.
+struct CapInfo {
+    a: NodeId,
+    b: NodeId,
+    farads: f64,
+    ic: f64,
+}
+
+/// An inductor as the stepper sees it.
+struct IndInfo {
+    a: NodeId,
+    b: NodeId,
+    henries: f64,
+    ic: f64,
+    branch: usize,
+}
+
+/// One implicit integration step: the circuit's reactive elements, their
+/// companion buffers and the Newton engine that solves each time point.
+struct Stepper<'a> {
+    circuit: &'a Circuit,
+    layout: MnaLayout,
+    caps: Vec<CapInfo>,
+    inds: Vec<IndInfo>,
+    companions: Vec<CapCompanion>,
+    ind_companions: Vec<IndCompanion>,
+    engine: SolverEngine,
+    opts: NewtonOpts,
+}
+
+impl<'a> Stepper<'a> {
+    /// Builds the stepper and the state it starts from: the DC operating
+    /// point, or the elements' initial conditions under `uic`.
+    fn new(
+        circuit: &'a Circuit,
+        layout: MnaLayout,
+        sel: EngineSel,
+        uic: bool,
+        max_iter: usize,
+        probe: &mut Probe<'_>,
+    ) -> Result<(Self, State), Error> {
+        let mut caps = Vec::new();
+        let mut inds = Vec::new();
+        for (idx, (_, _, e)) in circuit.elements().enumerate() {
+            match (e, layout.branch_of[idx]) {
+                (
+                    &Element::Capacitor {
+                        a,
+                        b,
+                        farads,
+                        initial_voltage: ic,
+                    },
+                    _,
+                ) => caps.push(CapInfo { a, b, farads, ic }),
+                (
+                    &Element::Inductor {
+                        a,
+                        b,
+                        henries,
+                        initial_current: ic,
+                    },
+                    Some(branch),
+                ) => inds.push(IndInfo {
+                    a,
+                    b,
+                    henries,
+                    ic,
+                    branch,
+                }),
+                _ => {}
+            }
+        }
+
+        let mut x = vec![0.0; layout.size()];
+        let (v_prev, il_prev) = if uic {
+            // Seed the branch unknowns with the initial currents so the
+            // first Newton iterate starts consistent.
+            for l in &inds {
+                x[layout.branch_row(l.branch)] = l.ic;
+            }
+            (
+                caps.iter().map(|c| c.ic).collect(),
+                inds.iter().map(|l| l.ic).collect(),
+            )
+        } else {
+            let op = dc_operating_point_impl(circuit, sel, probe.reborrow())?;
+            x.copy_from_slice(op.raw());
+            (
+                caps.iter()
+                    .map(|c| op.voltage(c.a) - op.voltage(c.b))
+                    .collect(),
+                inds.iter()
+                    .map(|l| op.raw()[layout.branch_row(l.branch)])
+                    .collect(),
+            )
+        };
+        let state = State {
+            x,
+            v_prev,
+            i_prev: vec![0.0; caps.len()],
+            il_prev,
+            // Zero volts across every inductor: a short at DC, at rest
+            // under UIC.
+            vl_prev: vec![0.0; inds.len()],
+        };
+        let stepper = Stepper {
+            engine: SolverEngine::new(circuit, &layout, PlanMode::Tran, sel),
+            opts: NewtonOpts {
+                max_iter,
+                ..NewtonOpts::default()
+            },
+            companions: vec![CapCompanion::default(); caps.len()],
+            ind_companions: vec![IndCompanion::default(); inds.len()],
+            circuit,
+            layout,
+            caps,
+            inds,
+        };
+        Ok((stepper, state))
+    }
+
+    /// Integrates `s` over one step of size `h` ending at `t_new` —
+    /// backward Euler when `be`, trapezoidal otherwise — with a `gshunt`
+    /// conductance from every node to ground.
+    fn step(
+        &mut self,
+        s: &mut State,
+        t_new: f64,
+        h: f64,
+        be: bool,
+        gshunt: f64,
+        probe: &mut Probe<'_>,
+    ) -> Result<(), Error> {
+        for (k, c) in self.caps.iter().enumerate() {
+            let (geq, ieq) = if be {
+                let geq = c.farads / h;
+                (geq, geq * s.v_prev[k])
+            } else {
+                let geq = 2.0 * c.farads / h;
+                (geq, geq * s.v_prev[k] + s.i_prev[k])
+            };
+            self.companions[k] = CapCompanion { geq, ieq };
+        }
+        for (k, l) in self.inds.iter().enumerate() {
+            let (geq, ieq) = if be {
+                let geq = h / l.henries;
+                (geq, s.il_prev[k])
+            } else {
+                let geq = 0.5 * h / l.henries;
+                (geq, s.il_prev[k] + geq * s.vl_prev[k])
+            };
+            self.ind_companions[k] = IndCompanion { geq, ieq };
+        }
+        let ctx = SolveContext {
+            time: t_new,
+            source_scale: 1.0,
+            caps: Some(&self.companions),
+            inds: Some(&self.ind_companions),
+            gshunt,
+        };
+        probe.solve(
+            &mut self.engine,
+            self.circuit,
+            &self.layout,
+            &mut s.x,
+            ctx,
+            &self.opts,
+            "transient",
+        )?;
+        let v = |node: NodeId| self.layout.node_row(node).map_or(0.0, |r| s.x[r]);
+        for (k, c) in self.caps.iter().enumerate() {
+            let v_new = v(c.a) - v(c.b);
+            s.i_prev[k] = self.companions[k].geq * v_new - self.companions[k].ieq;
+            s.v_prev[k] = v_new;
+        }
+        for (k, l) in self.inds.iter().enumerate() {
+            s.il_prev[k] = s.x[self.layout.branch_row(l.branch)];
+            s.vl_prev[k] = v(l.a) - v(l.b);
+        }
+        Ok(())
+    }
+}
+
+/// What [`Integrator::advance`] made of one step.
+enum Advance {
+    /// Newton converged on the first try.
+    Clean,
+    /// The rescue ladder recovered the step.
+    Rescued,
+    /// The ladder ran dry or its budget was spent: the state is rewound to
+    /// the last accepted point and the error ends the run.
+    Exhausted(Error),
+}
+
+/// The stepper and its state, under the rescue policy that guards every
+/// step.
+struct Integrator<'a> {
+    stepper: Stepper<'a>,
+    state: State,
+    /// The state before the current step, refilled in place when a rescue
+    /// or an adaptive rejection may rewind to it.
+    saved: State,
+    checkpoint: bool,
+    policy: Option<&'a RescuePolicy>,
+    report: RescueReport,
+}
+
+impl Integrator<'_> {
+    /// Takes the step `t_from → t_to` of size `h`. A step that does not
+    /// converge walks the rescue ladder under the policy; without one its
+    /// error is returned.
+    fn advance(
+        &mut self,
+        t_from: f64,
+        t_to: f64,
+        h: f64,
+        be: bool,
+        probe: &mut Probe<'_>,
+    ) -> Result<Advance, Error> {
+        if self.checkpoint {
+            self.saved.clone_from(&self.state);
+        }
+        let error = match self.stepper.step(&mut self.state, t_to, h, be, 0.0, probe) {
+            Ok(()) => return Ok(Advance::Clean),
+            Err(e @ Error::NonConvergence { .. }) => e,
+            Err(e) => return Err(e),
+        };
+        let Some(policy) = self.policy else {
+            return Err(error);
+        };
+        let (attempts, stage) = if self.report.incidents.len() >= policy.max_rescued_steps {
+            // Rescue budget spent: rewind without burning more solves.
+            self.rewind();
+            (0, None)
+        } else {
+            self.ladder(policy, t_from, t_to, be, probe)
+        };
+        probe.emit(Event::RescueOutcome {
+            time: t_to,
+            stage: stage.unwrap_or("exhausted"),
+            attempts: attempts as u32,
+            recovered: stage.is_some(),
+        });
+        self.report.incidents.push(RescueIncident {
+            time: t_to,
+            attempts,
+            recovered_by: stage,
+        });
+        if stage.is_some() {
+            return Ok(Advance::Rescued);
+        }
+        Ok(Advance::Exhausted(Error::NonConvergence {
+            analysis: "transient",
+            time: t_to,
+            iterations: self.stepper.opts.max_iter,
+            stage: "rescue",
+            attempts,
+        }))
+    }
+
+    /// Walks the rescue ladder over the failing step `t_from → t_target`
+    /// from the saved state. Returns the rungs tried and the stage that
+    /// recovered the step, or `None` when exhausted, in which case the
+    /// state is rewound.
+    fn ladder(
+        &mut self,
+        policy: &RescuePolicy,
+        t_from: f64,
+        t_target: f64,
+        method_be: bool,
+        probe: &mut Probe<'_>,
+    ) -> (usize, Option<&'static str>) {
+        let h_full = t_target - t_from;
+        let mut attempts = 0usize;
+
+        // Stages 1 and 2: timestep cutting, first with the caller's method,
+        // then forced backward Euler. A BE caller skips the redundant rerun.
+        let stages: &[(&'static str, bool)] = if method_be {
+            &[("dt_cut", true)]
+        } else {
+            &[("dt_cut", false), ("be", true)]
+        };
+        for &(stage, be) in stages {
+            let k_first = if stage == "be" { 0 } else { 1 };
+            for k in k_first..=policy.max_step_cuts {
+                let n_sub = 1u32 << k;
+                let h_sub = h_full / f64::from(n_sub);
+                self.rewind();
+                attempts += 1;
+                let mut converged = true;
+                for i in 1..=n_sub {
+                    let t_new = if i == n_sub {
+                        t_target
+                    } else {
+                        t_from + f64::from(i) * h_sub
+                    };
+                    if self
+                        .stepper
+                        .step(&mut self.state, t_new, h_sub, be, 0.0, probe)
+                        .is_err()
+                    {
+                        converged = false;
+                        break;
+                    }
+                }
+                probe.emit(Event::RescueAttempt {
+                    stage,
+                    time: t_target,
+                    dt: h_sub,
+                    param: 0.0,
+                    converged,
+                });
+                if converged {
+                    return (attempts, Some(stage));
+                }
+            }
+        }
+
+        // Stage 3: per-point gmin. Solve the full step (backward Euler) with
+        // a shunt to ground, relaxing it rung by rung down to exactly zero;
+        // each solve warm-starts the next, so only the final zero-shunt
+        // solution is ever committed to the waveform.
+        self.rewind();
+        for g in policy
+            .gmin_ladder
+            .iter()
+            .copied()
+            .chain(std::iter::once(0.0))
+        {
+            self.state.rewind_history(&self.saved);
+            attempts += 1;
+            let converged = self
+                .stepper
+                .step(&mut self.state, t_target, h_full, true, g, probe)
+                .is_ok();
+            probe.emit(Event::RescueAttempt {
+                stage: "gmin",
+                time: t_target,
+                dt: h_full,
+                param: g,
+                converged,
+            });
+            if !converged {
+                // Exhausted: rewind so the partial waveform ends at the
+                // last accepted step.
+                self.rewind();
+                return (attempts, None);
+            }
+        }
+        (attempts, Some("gmin"))
+    }
+
+    fn rewind(&mut self) {
+        self.state.clone_from(&self.saved);
+    }
+}
+
+/// The waveform recorder: the sample times and one signal per MNA
+/// unknown, decimated to every `every`-th fixed step.
+struct Recorder {
+    every: usize,
+    times: Vec<f64>,
+    signals: Vec<Vec<f64>>,
+}
+
+impl Recorder {
+    /// Reserves `steps / every + 2` samples per unknown up front. A count
+    /// the allocator refuses is an [`Error::InvalidParameter`], not an
+    /// abort: `t_stop / dt` asks for more samples than memory holds.
+    fn new(unknowns: usize, every: usize, steps: usize) -> Result<Self, Error> {
+        let samples = (steps / every).saturating_add(2);
+        let reserve = || {
+            let mut signal = Vec::new();
+            match signal.try_reserve_exact(samples) {
+                Ok(()) => Ok(signal),
+                Err(_) => Err(invalid(format!(
+                    "t_stop / dt asks for {steps} steps, more samples than can be recorded"
+                ))),
+            }
+        };
+        Ok(Recorder {
+            every,
+            times: reserve()?,
+            signals: (0..unknowns).map(|_| reserve()).collect::<Result<_, _>>()?,
+        })
+    }
+
+    fn record(&mut self, t: f64, x: &[f64]) {
+        self.times.push(t);
+        for (sig, &val) in self.signals.iter_mut().zip(x) {
+            sig.push(val);
+        }
+    }
+
+    /// Records fixed step `step`, ending at `t`, if the decimation keeps it.
+    fn sample(&mut self, step: usize, t: f64, x: &[f64]) {
+        if step.is_multiple_of(self.every) {
+            self.record(t, x);
+        }
+    }
+
+    /// Puts the last accepted point on record if decimation skipped it.
+    fn close(&mut self, t: f64, x: &[f64]) {
+        if self.times.last() != Some(&t) {
+            self.record(t, x);
+        }
+    }
+
+    /// The recorded waveforms, with the branch-current probes of `circuit`.
+    fn finish(self, circuit: &Circuit, layout: &MnaLayout) -> TransientResult {
+        let mut sources = Vec::new();
+        let mut branch_elements = Vec::new();
+        for (idx, (_, _, e)) in circuit.elements().enumerate() {
+            match (e, layout.branch_of[idx]) {
+                (&Element::VoltageSource { pos, neg, .. }, Some(branch)) => {
+                    sources.push(SourceInfo {
+                        element: idx,
+                        pos,
+                        neg,
+                        branch,
+                    });
+                    branch_elements.push((idx, branch));
+                }
+                (Element::Inductor { .. }, Some(branch)) => branch_elements.push((idx, branch)),
+                _ => {}
+            }
+        }
+        TransientResult {
+            ground: vec![0.0; self.times.len()],
+            times: self.times,
+            signals: self.signals,
+            node_rows: layout.n_nodes - 1,
+            n_nodes: layout.n_nodes,
+            sources,
+            branch_elements,
+        }
     }
 }
 
@@ -1374,10 +1364,40 @@ mod tests {
         assert!((vab.as_trace().last_value() - 1.0).abs() < 1e-9);
     }
 
+    /// Every invalid configuration is a typed error from the run, not a
+    /// panic or an abort: including step counts beyond `usize::MAX`,
+    /// which once overflowed the recorder's sample count.
     #[test]
-    #[should_panic(expected = "dt must be positive")]
-    fn zero_dt_panics() {
-        let _ = Transient::new(0.0, 1.0);
+    fn invalid_configurations_are_invalid_parameters() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.vsource("V1", a, Circuit::GND, Waveform::dc(1.0));
+        ckt.resistor("R1", a, Circuit::GND, 1e3);
+        ckt.capacitor("C1", a, Circuit::GND, 1e-9);
+        for tran in [
+            Transient::new(0.0, 1.0),
+            Transient::new(-1e-9, 1.0),
+            Transient::new(f64::NAN, 1.0),
+            Transient::new(f64::INFINITY, 1.0),
+            Transient::new(1e-9, 1e-10),
+            Transient::new(1e-9, f64::NAN),
+            Transient::new(1e-9, 1e-6).record_every(0),
+            Transient::new(1e-9, 1e-6).with_max_iterations(0),
+            Transient::new(1e-20, 1.0),
+            Transient::new(1e-300, 1e10),
+            Transient::new(1e-300, 1e10).adaptive(AdaptiveConfig::default()),
+        ] {
+            let got = Session::new(&ckt).transient(&tran);
+            assert!(
+                matches!(&got, Err(Error::InvalidParameter { element, .. }) if element == "transient"),
+                "{tran:?}: {got:?}"
+            );
+            let rescued = Session::new(&ckt).transient_rescued(&tran, &RescuePolicy::default());
+            assert!(
+                matches!(rescued, Err(Error::InvalidParameter { .. })),
+                "{tran:?}: {rescued:?}"
+            );
+        }
     }
 
     /// Adaptive stepping reproduces the RC charge with far fewer points

@@ -290,13 +290,15 @@ impl<'c, 'o> Session<'c, 'o> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::LintRejected`] for broken netlists (see
+    /// Returns [`Error::InvalidParameter`] for an invalid `tran` (see
+    /// [`Transient::new`]), [`Error::LintRejected`] for broken netlists (see
     /// [`crate::lint`]), [`Error::NonConvergence`] if Newton iteration
     /// fails at some time point, and [`Error::SingularMatrix`] for
     /// under-determined systems.
     pub fn transient(&mut self, tran: &Transient) -> Result<TransientResult, Error> {
         let sel = self.sel();
-        tran.run_with(self.circuit, sel, self.probe())
+        tran.execute(self.circuit, sel, None, self.probe())
+            .map(TransientOutcome::into_result)
     }
 
     /// Runs `tran` under the convergence-rescue ladder `policy`.
@@ -313,8 +315,9 @@ impl<'c, 'o> Session<'c, 'o> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::LintRejected`] for broken netlists and
-    /// [`Error::SingularMatrix`] for under-determined systems; those are
+    /// Returns [`Error::InvalidParameter`] for an invalid `tran` (see
+    /// [`Transient::new`]), [`Error::LintRejected`] for broken netlists
+    /// and [`Error::SingularMatrix`] for under-determined systems; those are
     /// structural faults no amount of rescue can fix. Non-convergence of
     /// the *initial* DC solve also propagates as an error — the ladder
     /// only guards time stepping.
@@ -324,7 +327,7 @@ impl<'c, 'o> Session<'c, 'o> {
         policy: &RescuePolicy,
     ) -> Result<TransientOutcome, Error> {
         let sel = self.sel();
-        tran.run_rescued(self.circuit, sel, policy, self.probe())
+        tran.execute(self.circuit, sel, Some(policy), self.probe())
     }
 
     /// Statically verifies the session's circuit: full lint report plus
